@@ -61,7 +61,14 @@ class Outcome:
 
 
 def child_env() -> dict[str, str]:
-    env = dict(os.environ)
+    """The caller's environment minus PYTHON* settings, plus PYTHONPATH=src.
+
+    Dropping variables such as PYTHONDONTWRITEBYTECODE or PYTHONUNBUFFERED
+    gives every child Python's defaults, as an installed CLI has: the
+    set-up warm-up writes the bytecode cache and timed processes reuse it.
+    PYTHONHOME stays, since the interpreter may need it to start at all.
+    """
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON") or k == "PYTHONHOME"}
     env["PYTHONPATH"] = str(SRC)
     return env
 
