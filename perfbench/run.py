@@ -6,10 +6,15 @@ Usage (from the root of a checkout):
 
 --trace 0 runs every job of the workload as a real `python -m balloonlink`
 process (closed loop, one client: each process is started only after the
-previous one was reaped) and reports the end-to-end metrics. --trace 1
-replays the same argv list in-process through balloonlink.cli.main with
-span wrappers installed, and takes the import layer from `-X importtime`
-processes. Every product of every run is checked against closed forms.
+previous one was reaped) and reports the end-to-end metrics. A bare
+interpreter start (`python -S -c pass`) runs just before each CLI process,
+and each CLI wall time is divided by that start's, so that a shared host
+running faster or slower for a while moves the time metrics less. The
+set-up (scenario files plus one warm-up process) is repeated at even steps
+through the run and reported as a median. --trace 1 replays the same argv
+list in-process through balloonlink.cli.main with span wrappers installed,
+and takes the import layer from `-X importtime` processes. Every product
+of every run is checked against closed forms.
 The last line of stdout is one JSON object; earlier lines are a
 human-readable record (machine, commit, failures, per-job breakdown).
 """
@@ -42,8 +47,9 @@ SRC = ROOT / "src"
 WORK_ROOT = ROOT / "perfbench" / ".work"
 
 PROCESS_TIMEOUT_S = 60.0
-SETUP_REPEATS = 5
+SETUP_REPEATS = 7
 FLOOR_REPEATS = 3
+START_REF_ARGS = ("-S", "-c", "pass")
 IMPORTTIME_REPEATS = 3
 STDERR_TAIL_CHARS = 400
 
@@ -55,6 +61,7 @@ class Outcome:
     label: str
     argv: list[str]
     wall_s: float
+    start_ref_s: float = 0.0
     maxrss_kb: int = 0
     products: int = 0
     error: str | None = None
@@ -121,7 +128,7 @@ def run_process(job: scenarios.Job, work: Path, extra: tuple[str, ...] = ()) -> 
     clear_products(job, out_dir)
     stdout_path, stderr_path = work / "stdout.txt", work / "stderr.txt"
     wall, code, rss = spawn([*extra, "-m", "balloonlink", *argv], stdout_path, stderr_path)
-    outcome = Outcome(job.label, argv, wall, rss)
+    outcome = Outcome(job.label, argv, wall, maxrss_kb=rss)
     if code != 0:
         reason = f"exit code {code}" if code > 0 else f"killed by signal {-code}"
         if wall >= PROCESS_TIMEOUT_S:
@@ -150,19 +157,16 @@ def measured_package(work: Path) -> str:
     return location
 
 
-def setup(workload: str, seed: int, work: Path) -> tuple[list[scenarios.Job], float, list[Outcome]]:
-    """Generate the scenario files and run one untimed warm-up process, several times.
+def setup(workload: str, seed: int, work: Path) -> tuple[list[scenarios.Job], float, Outcome]:
+    """Generate the scenario files and run one untimed warm-up process.
 
-    Returns the jobs, the median set-up time and the warm-up outcomes.
+    Returns the jobs, the set-up time and the warm-up outcome.
     """
-    times, warmups = [], []
-    for _ in range(SETUP_REPEATS):
-        start = perf_counter()
-        jobs = scenarios.generate(workload, seed, work)
-        (work / "out").mkdir(exist_ok=True)
-        warmups.append(run_process(jobs[0], work))
-        times.append(perf_counter() - start)
-    return jobs, statistics.median(times), warmups
+    start = perf_counter()
+    jobs = scenarios.generate(workload, seed, work)
+    (work / "out").mkdir(exist_ok=True)
+    warmup = run_process(jobs[0], work)
+    return jobs, perf_counter() - start, warmup
 
 
 def run_cycles(jobs, seconds: float, run_job) -> list[Outcome]:
@@ -179,20 +183,68 @@ def run_cycles(jobs, seconds: float, run_job) -> list[Outcome]:
             return outcomes
 
 
+def run_referenced(job: scenarios.Job, work: Path) -> Outcome:
+    """Run the job's CLI process right after a bare interpreter start, its time reference.
+
+    On a shared host every process can run a quarter slower or faster for
+    seconds to minutes at a time. The bare start just before a CLI process
+    sees the same host, so the ratio of the two drifts less than either.
+    """
+    start_ref_s = spawn(list(START_REF_ARGS), work / "stdout.txt", work / "stderr.txt")[0]
+    outcome = run_process(job, work)
+    outcome.start_ref_s = start_ref_s
+    return outcome
+
+
 def end_to_end(workload: str, seed: int, seconds: float, work: Path, record: dict):
     record["balloonlink_imported_from"] = measured_package(work)
-    jobs, setup_s, warmups = setup(workload, seed, work)
-    timed = run_cycles(jobs, seconds, lambda job: [run_process(job, work)])
+    jobs, setup_first_s, warmup = setup(workload, seed, work)
+    setup_times, warmups = [setup_first_s], [warmup]
+
+    def set_up_again():
+        _, took, again = setup(workload, seed, work)
+        setup_times.append(took)
+        warmups.append(again)
+
+    loop_start = perf_counter()
+
+    def run_job(job):
+        # repeat the set-up at even steps through the run, so that its median
+        # spans the host's slow and fast phases as the timed samples do
+        due = len(setup_times) * seconds / SETUP_REPEATS
+        if len(setup_times) < SETUP_REPEATS and perf_counter() - loop_start >= due:
+            set_up_again()
+        return [run_referenced(job, work)]
+
+    timed = run_cycles(jobs, seconds, run_job)
+    while len(setup_times) < SETUP_REPEATS:  # a run too short to reach every step
+        set_up_again()
+    setup_s = statistics.median(setup_times)
+    by_job = {job.label: [o for o in timed if o.label == job.label] for job in jobs}
+
+    def median_by_job(value):
+        return {label: statistics.median(value(o) for o in runs) for label, runs in by_job.items()}
+
+    rel = [o.wall_s / o.start_ref_s for o in timed]
+    p90 = statistics.quantiles(rel, n=10)[8]
+    # a typical cycle, each job at its median, so that one stalled process does not move it
+    cycle_products = sum(median_by_job(lambda o: o.products).values())
+    cycle_rel = sum(median_by_job(lambda o: o.wall_s / o.start_ref_s).values())
     walls_ms = [o.wall_s * 1e3 for o in timed]
+    wall_ms_by_job = median_by_job(lambda o: o.wall_s * 1e3)
+    record["setup_ms_each"] = [round(t * 1e3, 3) for t in setup_times]
     record["samples"] = len(timed)
-    record["wall_ms_p50_by_job"] = {
-        job.label: round(statistics.median(o.wall_s * 1e3 for o in timed if o.label == job.label), 3)
-        for job in jobs
-    }
+    record["samples_beyond_p90"] = sum(r > p90 for r in rel)
+    # the same figures in wall-clock units, as a user on this host waits them; not gated
+    record["start_ref_ms_p50"] = round(statistics.median(o.start_ref_s * 1e3 for o in timed), 3)
+    record["wall_ms_p50"] = round(statistics.median(walls_ms), 3)
+    record["wall_ms_p90"] = round(statistics.quantiles(walls_ms, n=10)[8], 3)
+    record["products_per_s"] = round(cycle_products / sum(wall_ms_by_job.values()) * 1e3, 4)
+    record["wall_ms_p50_by_job"] = {label: round(ms, 3) for label, ms in wall_ms_by_job.items()}
     metrics = {
-        "wall_ms_p50": (statistics.median(walls_ms), "ms"),
-        "wall_ms_p90": (statistics.quantiles(walls_ms, n=10)[8], "ms"),
-        "products_per_s": (sum(o.products for o in timed) / sum(o.wall_s for o in timed), "1/s"),
+        "wall_rel_p50": (statistics.median(rel), "x"),
+        "wall_rel_p90": (p90, "x"),
+        "products_per_start": (cycle_products / cycle_rel, "1/start"),
         "peak_rss_mb_max": (max(o.maxrss_kb for o in timed) / 1024.0, "MiB"),
         "setup_s": (setup_s, "s"),
     }

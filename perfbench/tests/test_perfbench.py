@@ -163,3 +163,22 @@ def test_failures_are_counted_not_raised(tmp_path):
     spawned = run.run_process(job, tmp_path)
     assert spawned.error.startswith("exit code 1")
     assert "line 1" in spawned.error
+
+
+def test_cli_process_is_timed_against_a_bare_start(tmp_path):
+    job = next(j for j in scenarios.generate("cli-default", 3, tmp_path) if j.label == "green")
+    (tmp_path / "out").mkdir()
+    outcome = run.run_referenced(job, tmp_path)
+    assert outcome.error is None
+    assert outcome.products == 1
+    # a bare `python -S -c pass` is far cheaper than a CLI process that imports numpy
+    assert 0.0 < outcome.start_ref_s < outcome.wall_s / 2
+
+
+def test_short_run_still_sets_up_every_repeat(tmp_path):
+    record = {}
+    metrics, outcomes = run.end_to_end("fine-sweeps", 5, 0.0, tmp_path, record)
+    assert len(record["setup_ms_each"]) == run.SETUP_REPEATS
+    median_ms = sorted(record["setup_ms_each"])[run.SETUP_REPEATS // 2]
+    assert metrics["setup_s"][0] * 1e3 == pytest.approx(median_ms, abs=1e-3)
+    assert not [o for o in outcomes if o.error]
