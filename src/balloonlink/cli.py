@@ -372,7 +372,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
+        # ArithmeticError: inputs whose result overflows a float or an int
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK

@@ -1,8 +1,8 @@
 """Cell sizing and multi-platform constellation layout.
 
 Inverts the Hata model for the cell radius that exhausts a path-loss
-budget, lays platforms out on a hexagonal lattice and estimates the union
-coverage area of the resulting cells.
+budget, lays platforms out on a hexagonal lattice and computes the exact
+union coverage area of the resulting cells.
 """
 
 from __future__ import annotations
@@ -10,16 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .propagation import hata_correction_small_city, hata_slope_db_per_decade
 
 # Hexagonal lattice spacing factor: disks of radius D centered sqrt(3)*D
 # apart overlap minimally while leaving no gap.
 HEX_SPACING_FACTOR = math.sqrt(3.0)
-
-UNION_AREA_SAMPLES = 100_000
-UNION_AREA_SEED = 42
 
 # Unit steps between neighboring lattice sites, counterclockwise from +x.
 _HALF_SQRT3 = math.sqrt(3.0) / 2.0
@@ -51,7 +46,9 @@ class Constellation:
     """Cells of one shared radius on a hexagonal lattice.
 
     spacing_km is the center-to-center distance of adjacent cells and is
-    fixed at sqrt(3) times the cell radius.
+    fixed at sqrt(3) times the cell radius. Every pair of centers is
+    either one spacing apart or at least 2 * radius apart, so only
+    adjacent cells overlap; union_area_km2 is exact because of this.
     """
 
     cells: tuple[Cell, ...]
@@ -66,6 +63,9 @@ class Constellation:
         expected = HEX_SPACING_FACTOR * radius
         if not math.isclose(self.spacing_km, expected, rel_tol=1e-12):
             raise ValueError("spacing_km must equal sqrt(3) * radius_km")
+        for _, _, distance in _pair_distances(self.cells):
+            if distance < 2.0 * radius and not _is_spacing(distance, self.spacing_km):
+                raise ValueError("cells closer than 2 * radius_km must be spacing_km apart")
 
     @property
     def radius_km(self) -> float:
@@ -144,51 +144,43 @@ def constellation_layout(num_balloons: int, radius_km: float) -> Constellation:
     return Constellation(cells=cells, spacing_km=spacing)
 
 
+def _pair_distances(cells: tuple[Cell, ...]):
+    """Yield (i, j, center distance) for every index pair i < j."""
+    for i, a in enumerate(cells):
+        for j, b in enumerate(cells[i + 1 :], start=i + 1):
+            yield i, j, math.hypot(a.center_x_km - b.center_x_km, a.center_y_km - b.center_y_km)
+
+
+def _is_spacing(distance_km: float, spacing_km: float) -> bool:
+    return math.isclose(distance_km, spacing_km, rel_tol=1e-9)
+
+
 def linked_pairs(constellation: Constellation) -> tuple[tuple[int, int], ...]:
     """Index pairs of adjacent cells (centers one lattice spacing apart).
 
     Adjacency is the inter-platform link topology; the radio or optical
     link itself is not modeled.
     """
-    cells = constellation.cells
-    spacing = constellation.spacing_km
-    pairs = []
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            distance = math.hypot(
-                cells[i].center_x_km - cells[j].center_x_km,
-                cells[i].center_y_km - cells[j].center_y_km,
-            )
-            if math.isclose(distance, spacing, rel_tol=1e-9):
-                pairs.append((i, j))
-    return tuple(pairs)
+    return tuple(
+        (i, j)
+        for i, j, distance in _pair_distances(constellation.cells)
+        if _is_spacing(distance, constellation.spacing_km)
+    )
 
 
-def union_area_km2(
-    constellation: Constellation,
-    num_samples: int = UNION_AREA_SAMPLES,
-    seed: int = UNION_AREA_SEED,
-) -> float:
-    """Monte Carlo estimate of the area covered by at least one cell.
+def union_area_km2(constellation: Constellation) -> float:
+    """Exact area covered by at least one cell.
 
-    Samples a fixed, seeded generator so repeated calls return the same
-    value bit for bit. With the default 1e5 samples the estimate of a
-    single cell's area is well within 1% of pi*D^2.
+    Adjacent cells, sqrt(3)*D apart, overlap in a lens of area
+    D^2 * (pi/3 - sqrt(3)/2); cells further apart are at least 2*D apart
+    and disjoint. Three mutually adjacent cells share only their
+    circumcenter, so inclusion-exclusion stops at the pair term:
+    N * pi * D^2 - E * lens, with E the number of linked pairs.
     """
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
-    radius = constellation.radius_km
-    xs = np.array([cell.center_x_km for cell in constellation.cells])
-    ys = np.array([cell.center_y_km for cell in constellation.cells])
-    x_lo, x_hi = xs.min() - radius, xs.max() + radius
-    y_lo, y_hi = ys.min() - radius, ys.max() + radius
-    rng = np.random.default_rng(seed)
-    points = rng.uniform((x_lo, y_lo), (x_hi, y_hi), size=(num_samples, 2))
-    dx = points[:, 0:1] - xs[np.newaxis, :]
-    dy = points[:, 1:2] - ys[np.newaxis, :]
-    covered = ((dx * dx + dy * dy) <= radius * radius).any(axis=1)
-    box_area = (x_hi - x_lo) * (y_hi - y_lo)
-    return box_area * float(covered.sum()) / num_samples
+    unit_lens = math.pi / 3.0 - math.sqrt(3.0) / 2.0
+    unit_union = len(constellation.cells) * math.pi - len(linked_pairs(constellation)) * unit_lens
+    # float ** raises OverflowError, rather than giving inf, for a radius too large to square
+    return constellation.radius_km**2 * unit_union
 
 
 def replacement_count(balloon_radius_km: float, terrestrial_radius_km: float) -> int:

@@ -10,6 +10,7 @@ bit against direct calls.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from .propagation import (
@@ -63,6 +64,8 @@ def default_thresholds(freq_mhz: float) -> ZoneThresholds:
 
 def classify_zone(density_w_m2: float, thresholds: ZoneThresholds) -> ExposureZone:
     """Classify a power density against the configured thresholds."""
+    if not math.isfinite(density_w_m2):
+        raise ValueError(f"density_w_m2 must be finite, got {density_w_m2}")
     if density_w_m2 < 0.0:
         raise ValueError("density_w_m2 must be >= 0")
     if density_w_m2 >= thresholds.limit_w_m2:

@@ -104,7 +104,7 @@ class TestCoverage:
         radius_line = [l for l in lines if l.startswith("cell_radius_km,")][0]
         assert float(radius_line.split(",")[1]) == pytest.approx(10.0, rel=1e-6)
         union_line = [l for l in lines if l.startswith("union_area_km2,")][0]
-        # single disk of radius 10: pi * 100, Monte Carlo within 1%
+        # single disk of radius 10: pi * 100
         assert float(union_line.split(",")[1]) == pytest.approx(314.159265, rel=0.01)
 
     def test_seven_balloon_layout(self, run_cli, tmp_path):
@@ -224,6 +224,14 @@ class TestZones:
         assert run_cli("zones", "--densities=-1.0", "--out", str(tmp_path)) == 1
         assert "density" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("densities", ["nan", "inf", "1.0,nan"])
+    def test_non_finite_density_is_validation_error(self, run_cli, tmp_path, capsys, densities):
+        assert run_cli("zones", "--densities", densities, "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: density_w_m2 must be finite")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "zones.csv").exists()
+
 
 class TestLinkBudget:
     def test_stdout_csv(self, run_cli, capsys):
@@ -270,6 +278,21 @@ class TestExitCodes:
         blocker.write_text("not a directory", encoding="utf-8")
         assert run_cli("table1", "--out", str(blocker / "sub")) == 2
         assert "I/O error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("coverage", "--max-path-loss-db", "1e6"),
+            ("coverage", "--max-path-loss-db", "5000"),
+            ("green", "--balloon-radius-km", "1e200", "--terrestrial-radius-km", "1e-200"),
+        ],
+    )
+    def test_overflowing_input_is_validation_error(self, run_cli, tmp_path, capsys, argv):
+        assert run_cli(*argv, "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_command_is_usage_error(self, run_cli):
         with pytest.raises(SystemExit) as excinfo:

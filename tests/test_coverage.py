@@ -1,12 +1,36 @@
 """Unit tests for cell sizing and constellation layout."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from balloonlink import coverage as cov
 from balloonlink.propagation import hata_path_loss
+
+
+def _lens_area(radius, distance):
+    """Area shared by two disks of one radius whose centers are distance apart."""
+    half_angle = math.acos(distance / (2.0 * radius))
+    return 2.0 * radius**2 * half_angle - 0.5 * distance * math.sqrt(4.0 * radius**2 - distance**2)
+
+
+def _monte_carlo_union(constellation, samples=400_000, seed=42):
+    """Seeded sampling estimate of the area covered by at least one cell."""
+    radius = constellation.radius_km
+    xs = [cell.center_x_km for cell in constellation.cells]
+    ys = [cell.center_y_km for cell in constellation.cells]
+    x_lo, x_hi = min(xs) - radius, max(xs) + radius
+    y_lo, y_hi = min(ys) - radius, max(ys) + radius
+    rng = np.random.default_rng(seed)
+    px = rng.uniform(x_lo, x_hi, samples)
+    py = rng.uniform(y_lo, y_hi, samples)
+    covered = np.zeros(samples, dtype=bool)
+    for x, y in zip(xs, ys):
+        covered |= (px - x) ** 2 + (py - y) ** 2 <= radius * radius
+    return (x_hi - x_lo) * (y_hi - y_lo) * float(covered.mean())
 
 
 class TestCellRadiusFromBudget:
@@ -153,6 +177,36 @@ class TestUnionArea:
         large = cov.union_area_km2(cov.constellation_layout(3, 2.0))
         assert large == pytest.approx(4.0 * small, rel=0.02)
 
+    def test_two_adjacent_cells_lose_one_lens(self):
+        radius = 2.5
+        area = cov.union_area_km2(cov.constellation_layout(2, radius))
+        expected = 2.0 * math.pi * radius**2 - _lens_area(radius, math.sqrt(3.0) * radius)
+        assert area == pytest.approx(expected, rel=1e-12)
+
+    def test_full_rings_match_closed_form(self):
+        # k full rings hold 3k^2 + 3k + 1 cells joined by 9k^2 + 3k lattice edges
+        radius = 1.5
+        lens = radius**2 * (math.pi / 3.0 - math.sqrt(3.0) / 2.0)
+        for rings in (1, 2, 6):
+            count = 3 * rings * rings + 3 * rings + 1
+            edges = 9 * rings * rings + 3 * rings
+            constellation = cov.constellation_layout(count, radius)
+            assert len(cov.linked_pairs(constellation)) == edges
+            expected = count * math.pi * radius**2 - edges * lens
+            assert cov.union_area_km2(constellation) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("count", [1, 7, 19])
+    def test_agrees_with_monte_carlo(self, count):
+        constellation = cov.constellation_layout(count, 1.5)
+        estimate = _monte_carlo_union(constellation)
+        assert cov.union_area_km2(constellation) == pytest.approx(estimate, rel=5e-3)
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        code = "import sys, balloonlink.cli; print('numpy' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
+
 
 class TestReplacementCount:
     def test_area_ratio_examples(self):
@@ -187,3 +241,15 @@ class TestConstellationInvariants:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             cov.Constellation(cells=(), spacing_km=1.0)
+
+    @pytest.mark.parametrize("second_x_km", [1.0, 0.0])
+    def test_off_lattice_pair_rejected(self, second_x_km):
+        # closer than 2 * radius but not one spacing apart; 0.0 duplicates the center
+        cells = (cov.Cell(radius_km=1.0), cov.Cell(radius_km=1.0, center_x_km=second_x_km))
+        with pytest.raises(ValueError):
+            cov.Constellation(cells=cells, spacing_km=math.sqrt(3.0))
+
+    def test_pair_at_least_two_radii_apart_accepted(self):
+        cells = (cov.Cell(radius_km=1.0), cov.Cell(radius_km=1.0, center_x_km=2.0))
+        constellation = cov.Constellation(cells=cells, spacing_km=math.sqrt(3.0))
+        assert cov.union_area_km2(constellation) == pytest.approx(2.0 * math.pi, rel=1e-12)
