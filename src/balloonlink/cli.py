@@ -19,7 +19,7 @@ from .coverage import (
     union_area_km2,
 )
 from .csvout import fmt, write_csv
-from .emissions import PowerSourceProfile, SourceKind, compare
+from .emissions import compare
 from .exposure import (
     altitude_density_profile,
     classify_zone,
@@ -29,7 +29,7 @@ from .exposure import (
     table_one,
 )
 from .propagation import hata_validity_warnings, link_budget, power_density, slant_range
-from .scenario import Scenario, default_scenario_path, load_scenario
+from .scenario import DEFAULTS_HELP, Scenario, default_scenario_path, load_scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -40,20 +40,6 @@ FIGURE_IDS = ("fig4", "fig5", "fig6", "fig7", "fig8")
 # Altitudes fixed by the fig4/fig5 scenario definitions, in meters.
 FIG4_ALTITUDE_M = 150.0
 FIG5_ALTITUDE_M = 200.0
-
-_DEFAULTS_EPILOG = """\
-scenario defaults (overridable in the scenario file):
-  transmitter: gain_db=17, antenna_dim_m=1; power_w and freq_mhz are required
-  geometry: altitude_m=150, ground_offset_m=0, bs_antenna_height_m=200,
-            rx_antenna_height_m=1.5, rx_gain_db=0
-  thresholds: limit_w_m2=freq_mhz/200 (clamped to [2, 10] W/m^2), caution_fraction=0.1
-  green (assumed values, not measurements): hours_per_year=8760,
-            terrestrial DIESEL 2.0 L/h at 2.68 kg CO2/L, balloon SOLAR (zero),
-            grid factor 0.82 kg CO2/kWh when a GRID profile is chosen
-  sweeps: ground_offset 0..25 m, altitude 200..400 m, range 10..500 m,
-            101 steps each; distances_m = 10, 100, 500
-"""
-
 
 class _Parser(argparse.ArgumentParser):
     # usage errors must exit 1, not argparse's default 2 (2 is for I/O here)
@@ -167,20 +153,6 @@ def cmd_coverage(scenario: Scenario, args: argparse.Namespace) -> None:
     _write(_resolve_out_dir(scenario, args) / "coverage.csv", lines)
 
 
-def _profile_summary(profile: PowerSourceProfile) -> str:
-    if profile.source_kind is SourceKind.DIESEL:
-        return (
-            f"DIESEL {profile.fuel_liters_per_hour:g} L/h "
-            f"at {profile.emission_factor_kg_per_liter:g} kg CO2/L"
-        )
-    if profile.source_kind is SourceKind.GRID:
-        return (
-            f"GRID {profile.grid_kwh_per_hour:g} kWh/h "
-            f"at {profile.grid_emission_kg_per_kwh:g} kg CO2/kWh"
-        )
-    return "SOLAR (zero emission)"
-
-
 def cmd_green(scenario: Scenario, args: argparse.Namespace) -> None:
     comparison = compare(
         scenario.green_terrestrial,
@@ -195,8 +167,8 @@ def cmd_green(scenario: Scenario, args: argparse.Namespace) -> None:
         f"hours_per_year={scenario.hours_per_year:g}, "
         f"balloon_radius_km={args.balloon_radius_km:g}, "
         f"terrestrial_radius_km={args.terrestrial_radius_km:g}, "
-        f"terrestrial={_profile_summary(scenario.green_terrestrial)}, "
-        f"balloon={_profile_summary(scenario.green_balloon)}"
+        f"terrestrial={scenario.green_terrestrial.summary()}, "
+        f"balloon={scenario.green_balloon.summary()}"
     )
     lines.append("key,value")
     lines.append(f"replaced_bs_count,{comparison.replaced_bs_count}")
@@ -249,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="balloonlink",
         description="Link-budget, exposure and coverage products for an "
         "elevated (tethered-balloon) base station.",
-        epilog=_DEFAULTS_EPILOG,
+        epilog=DEFAULTS_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -276,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
             parents=[common],
             help=help_text,
             description=help_text,
-            epilog=_DEFAULTS_EPILOG,
+            epilog=DEFAULTS_HELP,
             formatter_class=_HelpFormatter,
             **kwargs,
         )

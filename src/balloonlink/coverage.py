@@ -100,7 +100,17 @@ def cell_radius_from_budget(
         - 13.82 * math.log10(bs_antenna_height_m)
         - hata_correction_small_city(freq_mhz, rx_antenna_height_m)
     )
-    return 10.0 ** ((max_path_loss_db - fixed) / slope)
+    exponent = (max_path_loss_db - fixed) / slope
+    try:
+        radius = 10.0**exponent
+    except OverflowError:
+        radius = math.inf
+    if radius * radius == math.inf:
+        raise ValueError(
+            f"max_path_loss_db={max_path_loss_db:g} is too large: the cell radius, "
+            f"10^{exponent:.6g} km, has an area beyond float range"
+        )
+    return radius
 
 
 def cell_area_km2(radius_km: float) -> float:
@@ -179,8 +189,15 @@ def union_area_km2(constellation: Constellation) -> float:
     """
     unit_lens = math.pi / 3.0 - math.sqrt(3.0) / 2.0
     unit_union = len(constellation.cells) * math.pi - len(linked_pairs(constellation)) * unit_lens
-    # float ** raises OverflowError, rather than giving inf, for a radius too large to square
-    return constellation.radius_km**2 * unit_union
+    try:
+        area = constellation.radius_km**2 * unit_union
+    except OverflowError:
+        area = math.inf
+    if area == math.inf:
+        raise ValueError(
+            f"radius_km={constellation.radius_km:g} is too large: the union area is beyond float range"
+        )
+    return area
 
 
 def replacement_count(balloon_radius_km: float, terrestrial_radius_km: float) -> int:
@@ -190,7 +207,15 @@ def replacement_count(balloon_radius_km: float, terrestrial_radius_km: float) ->
     be deployed. A tiny slack absorbs float noise so exact integer ratios
     stay exact.
     """
-    if balloon_radius_km <= 0.0 or terrestrial_radius_km <= 0.0:
+    if not (balloon_radius_km > 0.0 and terrestrial_radius_km > 0.0):
         raise ValueError("radii must be > 0")
-    ratio = (balloon_radius_km / terrestrial_radius_km) ** 2
+    try:
+        ratio = (balloon_radius_km / terrestrial_radius_km) ** 2
+    except OverflowError:
+        ratio = math.inf
+    if not ratio < math.inf:
+        raise ValueError(
+            f"balloon_radius_km={balloon_radius_km:g} over terrestrial_radius_km="
+            f"{terrestrial_radius_km:g} is too large: the area ratio is beyond float range"
+        )
     return math.ceil(ratio - 1e-9)

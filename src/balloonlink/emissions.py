@@ -58,6 +58,20 @@ class PowerSourceProfile:
         ):
             raise ValueError("a SOLAR profile must have all emission fields at 0")
 
+    def summary(self) -> str:
+        """The kind and the fields it consumes, as green.csv and the CLI help print them."""
+        if self.source_kind is SourceKind.DIESEL:
+            return (
+                f"DIESEL {self.fuel_liters_per_hour:g} L/h "
+                f"at {self.emission_factor_kg_per_liter:g} kg CO2/L"
+            )
+        if self.source_kind is SourceKind.GRID:
+            return (
+                f"GRID {self.grid_kwh_per_hour:g} kWh/h "
+                f"at {self.grid_emission_kg_per_kwh:g} kg CO2/kWh"
+            )
+        return "SOLAR (zero emission)"
+
 
 def diesel_profile(
     liters_per_hour: float = DEFAULT_DIESEL_LITERS_PER_HOUR,

@@ -6,25 +6,30 @@ A scenario is a flat two-level JSON object with sections ``transmitter``,
 required; everything else takes documented defaults. Validation collects
 every violated field before failing, so one load attempt reports all
 problems at once.
+
+Each default and bound is stated once, in the field tables below; the
+parser, the validator and DEFAULTS_HELP (the CLI's help epilog) all read
+them.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+import operator
+import sys
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
 from .emissions import (
-    DEFAULT_DIESEL_KG_CO2_PER_LITER,
-    DEFAULT_DIESEL_LITERS_PER_HOUR,
-    DEFAULT_GRID_KG_CO2_PER_KWH,
     HOURS_PER_YEAR,
     PowerSourceProfile,
     SourceKind,
+    diesel_profile,
+    grid_profile,
+    solar_profile,
 )
-from .exposure import DEFAULT_NUM_STEPS, ZoneThresholds, default_thresholds
+from .exposure import DEFAULT_NUM_STEPS, ZONE_LIMIT_BAND_MHZ, ZoneThresholds, default_thresholds
 from .propagation import LinkGeometry, TransmitterConfig
 
 
@@ -41,7 +46,7 @@ class ScenarioValidationError(ScenarioError):
 
     def __init__(self, problems: list[str]):
         self.problems = tuple(problems)
-        super().__init__("invalid scenario:\n  " + "\n  ".join(problems))
+        super().__init__("invalid scenario: " + "; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -93,365 +98,243 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(raw)
 
 
-_TOP_LEVEL_KEYS = {"transmitter", "geometry", "thresholds", "green", "sweeps", "output_dir"}
-_TRANSMITTER_KEYS = {"power_w", "gain_db", "gain_linear", "freq_mhz", "antenna_dim_m"}
-_GEOMETRY_KEYS = {
-    "altitude_m",
-    "ground_offset_m",
-    "bs_antenna_height_m",
-    "rx_antenna_height_m",
-    "rx_gain_db",
-}
-_THRESHOLD_KEYS = {"limit_w_m2", "caution_fraction"}
-_GREEN_KEYS = {"hours_per_year", "terrestrial", "balloon"}
-_PROFILE_KEYS = {
-    "source_kind",
-    "fuel_liters_per_hour",
-    "emission_factor_kg_per_liter",
-    "grid_kwh_per_hour",
-    "grid_emission_kg_per_kwh",
-}
-_SWEEP_KEYS = {"ground_offset", "altitude", "range", "distances_m"}
-_SWEEP_RANGE_KEYS = {"min", "max", "steps"}
+# Bounds are (operator, limit) pairs, checked in order; an optional third
+# element is a reason, appended to the message.
+_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le, "==": operator.eq}
+_POSITIVE = ((">", 0.0),)
+_NON_NEGATIVE = ((">=", 0.0),)
 
-# Per-kind profile defaults; fields not listed default to 0.
+_ABSENT = object()
+_REQUIRED = object()
+# Marks the default of thresholds.limit_w_m2, default_thresholds(freq_mhz),
+# and reads as that default in the help.
+_LIMIT_FROM_FREQ = "freq_mhz/200 (clamped to [{:g}, {:g}] W/m^2)".format(
+    *(default_thresholds(freq).limit_w_m2 for freq in ZONE_LIMIT_BAND_MHZ)
+)
+
+# (key, default, bounds) per section; each key names the dataclass field it fills.
+_FIELDS = {
+    "transmitter": (
+        ("power_w", _REQUIRED, _POSITIVE),
+        ("gain_db", TransmitterConfig.gain_db, ()),
+        ("gain_linear", None, _POSITIVE),
+        ("freq_mhz", _REQUIRED, _POSITIVE),
+        ("antenna_dim_m", TransmitterConfig.antenna_dim_m, _NON_NEGATIVE),
+    ),
+    "geometry": (
+        ("altitude_m", LinkGeometry.altitude_m, _POSITIVE),
+        ("ground_offset_m", LinkGeometry.ground_offset_m, _NON_NEGATIVE),
+        ("bs_antenna_height_m", LinkGeometry.bs_antenna_height_m, _POSITIVE),
+        ("rx_antenna_height_m", LinkGeometry.rx_antenna_height_m, _POSITIVE),
+        ("rx_gain_db", LinkGeometry.rx_gain_db, ()),
+    ),
+    "thresholds": (
+        ("limit_w_m2", _LIMIT_FROM_FREQ, _POSITIVE),
+        ("caution_fraction", ZoneThresholds.caution_fraction, ((">", 0.0), ("<", 1.0))),
+    ),
+    "green": (("hours_per_year", HOURS_PER_YEAR, _POSITIVE),),
+}
+
+# green.<name> is a power profile of this default source kind.
+_GREEN_PROFILES = {"terrestrial": SourceKind.DIESEL, "balloon": SourceKind.SOLAR}
 _PROFILE_DEFAULTS = {
-    SourceKind.DIESEL: {
-        "fuel_liters_per_hour": DEFAULT_DIESEL_LITERS_PER_HOUR,
-        "emission_factor_kg_per_liter": DEFAULT_DIESEL_KG_CO2_PER_LITER,
-    },
-    SourceKind.SOLAR: {},
-    SourceKind.GRID: {"grid_emission_kg_per_kwh": DEFAULT_GRID_KG_CO2_PER_KWH},
+    SourceKind.DIESEL: diesel_profile(),
+    SourceKind.SOLAR: solar_profile(),
+    SourceKind.GRID: grid_profile(0.0),
 }
+_PROFILE_KEYS = tuple(field.name for field in fields(PowerSourceProfile))  # source_kind first
+
+# sweeps.<name>: (default min, default max, bounds on min), in meters.
+_SWEEPS = {
+    "ground_offset": (
+        0.0,
+        25.0,
+        _NON_NEGATIVE + (("==", 0.0, "profile starts under the platform"),),
+    ),
+    "altitude": (200.0, 400.0, _POSITIVE),
+    "range": (10.0, 500.0, _POSITIVE),
+}
+# An int default makes a field integer-valued. The cap bounds the memory of
+# one sweep: exposure at 100001 steps runs in about 2 s at 52 MiB peak RSS.
+_STEPS = ("steps", DEFAULT_NUM_STEPS, ((">=", 2), ("<=", 100_001)))
+_DISTANCES_M = (10.0, 100.0, 500.0)
 
 
-def _section(raw: dict, name: str, known: set[str], problems: list[str]) -> dict:
-    value = raw.get(name)
+def _defaults_help() -> str:
+    def item(key, default):
+        if default is _REQUIRED:
+            return f"{key} (required)"
+        return f"{key}={default}" if isinstance(default, str) else f"{key}={default:g}"
+
+    sections = {
+        name: [item(key, default) for key, default, _ in rows if default is not None]
+        for name, rows in _FIELDS.items()
+    }
+    sections["green (assumed values, not measurements)"] = [
+        *sections.pop("green"),
+        *(f"{name}={kind.value}" for name, kind in _GREEN_PROFILES.items()),
+        *(profile.summary() for profile in _PROFILE_DEFAULTS.values()),
+    ]
+    key, steps, ((_, least), (_, most)) = _STEPS
+    sections["sweeps"] = [
+        *(f"{name}={lo:g}..{hi:g} m" for name, (lo, hi, _) in _SWEEPS.items()),
+        f"{key}={steps} ({least}..{most})",
+        "distances_m=[" + ", ".join(f"{d:g}" for d in _DISTANCES_M) + "]",
+    ]
+    lines = ["scenario defaults (overridable in the scenario file):"]
+    for head, items in sections.items():
+        lines.append(f"  {head}: {items[0]}")
+        for text in items[1:]:
+            if len(lines[-1]) + len(text) > 76:  # keeps lines under 80 columns
+                lines[-1] += ","
+                lines.append(f"    {text}")
+            else:
+                lines[-1] += f", {text}"
+    return "\n".join(lines) + "\n"
+
+
+# The CLI's help epilog, rendered from the tables above.
+DEFAULTS_HELP = _defaults_help()
+
+
+def _object(value, qualified: str, known, problems: list[str]) -> dict:
+    """value as a JSON object, {} when absent or not one; unknown keys are problems."""
     if value is None:
         return {}
     if not isinstance(value, dict):
-        problems.append(f"{name} must be a JSON object")
+        problems.append(f"{qualified} must be a JSON object")
         return {}
-    for key in value:
-        if key not in known:
-            problems.append(f"unknown key '{key}' in {name}")
+    problems.extend(f"unknown key '{key}' in {qualified}" for key in value if key not in known)
     return value
 
 
-def _number(
-    section: dict,
-    qualified: str,
-    key: str,
-    problems: list[str],
-    default: float | None = None,
-    required: bool = False,
-) -> float | None:
-    if key not in section:
-        if required:
-            problems.append(f"{qualified}.{key} is required")
-        return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        problems.append(f"{qualified}.{key} must be a number")
-        return default
-    if not math.isfinite(float(value)):
-        problems.append(f"{qualified}.{key} must be finite")
-        return default
-    return float(value)
+def _number(value, qualified: str, default, bounds, problems: list[str]):
+    """value as a number, or default when value is _ABSENT.
 
-
-def _constrain(
-    value: float | None,
-    qualified: str,
-    problems: list[str],
-    gt: float | None = None,
-    ge: float | None = None,
-    lt: float | None = None,
-) -> float | None:
-    if value is None:
-        return None
-    if gt is not None and not value > gt:
-        problems.append(f"{qualified} must be > {gt:g}")
-        return None
-    if ge is not None and not value >= ge:
-        problems.append(f"{qualified} must be >= {ge:g}")
-        return None
-    if lt is not None and not value < lt:
-        problems.append(f"{qualified} must be < {lt:g}")
-        return None
-    return value
-
-
-def _profile(
-    section: dict,
-    qualified: str,
-    default_kind: SourceKind,
-    problems: list[str],
-) -> PowerSourceProfile | None:
-    for key in section:
-        if key not in _PROFILE_KEYS:
-            problems.append(f"unknown key '{key}' in {qualified}")
-    kind = default_kind
-    if "source_kind" in section:
-        raw_kind = section["source_kind"]
-        if isinstance(raw_kind, str) and raw_kind.upper() in SourceKind.__members__:
-            kind = SourceKind[raw_kind.upper()]
-        else:
-            problems.append(
-                f"{qualified}.source_kind must be one of DIESEL, SOLAR, GRID"
-            )
+    Returns None after appending a problem when value is not a finite
+    number inside its bounds.
+    """
+    if value is _ABSENT:
+        if default is _REQUIRED:
+            problems.append(f"{qualified} is required")
             return None
-    defaults = _PROFILE_DEFAULTS[kind]
-    fields = {}
-    for key in (
-        "fuel_liters_per_hour",
-        "emission_factor_kg_per_liter",
-        "grid_kwh_per_hour",
-        "grid_emission_kg_per_kwh",
-    ):
-        fields[key] = _constrain(
-            _number(section, qualified, key, problems, default=defaults.get(key, 0.0)),
-            f"{qualified}.{key}",
-            problems,
-            ge=0.0,
-        )
-    if any(v is None for v in fields.values()):
+        return default
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        problems.append(f"{qualified} must be a number")
+        return None
+    if not abs(value) <= sys.float_info.max:  # also an int too large for a float
+        problems.append(f"{qualified} must be finite")
+        return None
+    integer = type(default) is int
+    for op, limit, *reason in bounds:
+        if not _OPS[op](value, limit) or (integer and value != int(value)):
+            rule = f"{limit:g}" if op == "==" else f"{op} {limit:g}"
+            kind = "an integer " if integer else ""
+            problems.append(f"{qualified} must be {kind}{rule}" + "".join(f" ({r})" for r in reason))
+            return None
+    return int(value) if integer else float(value)
+
+
+def _numbers(section: dict, qualified: str, rows, problems: list[str]) -> dict:
+    return {
+        key: _number(section.get(key, _ABSENT), f"{qualified}.{key}", default, bounds, problems)
+        for key, default, bounds in rows
+    }
+
+
+def _profile(value, qualified: str, default_kind: SourceKind, problems: list[str]):
+    section = _object(value, qualified, _PROFILE_KEYS, problems)
+    kind = section.get("source_kind", default_kind.value)
+    if not (isinstance(kind, str) and kind.upper() in SourceKind.__members__):
+        problems.append(f"{qualified}.source_kind must be one of DIESEL, SOLAR, GRID")
+        return None
+    defaults = _PROFILE_DEFAULTS[SourceKind[kind.upper()]]
+    rows = [(key, getattr(defaults, key), _NON_NEGATIVE) for key in _PROFILE_KEYS[1:]]
+    before = len(problems)
+    numbers = _numbers(section, qualified, rows, problems)
+    if len(problems) > before:
         return None
     try:
-        return PowerSourceProfile(source_kind=kind, **fields)
+        return PowerSourceProfile(defaults.source_kind, **numbers)
     except ValueError as exc:
         problems.append(f"{qualified}: {exc}")
         return None
 
 
-def _sweep_range(
-    section: dict,
-    qualified: str,
-    defaults: tuple[float, float, int],
-    problems: list[str],
-    min_exclusive: bool,
-) -> SweepRange | None:
-    for key in section:
-        if key not in _SWEEP_RANGE_KEYS:
-            problems.append(f"unknown key '{key}' in {qualified}")
-    lo = _number(section, qualified, "min", problems, default=defaults[0])
-    hi = _number(section, qualified, "max", problems, default=defaults[1])
-    steps = _number(section, qualified, "steps", problems, default=float(defaults[2]))
-    if lo is None or hi is None or steps is None:
+def _sweep_range(value, qualified: str, lo, hi, lo_bounds, problems: list[str]):
+    rows = (("min", lo, lo_bounds), ("max", hi, ()), _STEPS)
+    section = _object(value, qualified, {key for key, _, _ in rows}, problems)
+    before = len(problems)
+    numbers = _numbers(section, qualified, rows, problems)
+    if len(problems) > before:
         return None
-    if min_exclusive:
-        lo = _constrain(lo, f"{qualified}.min", problems, gt=0.0)
-    else:
-        lo = _constrain(lo, f"{qualified}.min", problems, ge=0.0)
-    if steps != int(steps) or int(steps) < 2:
-        problems.append(f"{qualified}.steps must be an integer >= 2")
-        return None
-    if lo is None:
-        return None
-    if not hi > lo:
+    if not numbers["max"] > numbers["min"]:
         problems.append(f"{qualified}.max must be > {qualified}.min")
         return None
-    return SweepRange(min=lo, max=hi, steps=int(steps))
+    return SweepRange(**numbers)
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
     """Validate a parsed scenario object and apply defaults."""
-    problems: list[str] = []
     if not isinstance(raw, dict):
         raise ScenarioValidationError(["scenario root must be a JSON object"])
-    for key in raw:
-        if key not in _TOP_LEVEL_KEYS:
-            problems.append(f"unknown top-level key '{key}'")
+    top_level = {*_FIELDS, "sweeps", "output_dir"}
+    problems = [f"unknown top-level key '{key}'" for key in raw if key not in top_level]
 
-    tx_raw = _section(raw, "transmitter", _TRANSMITTER_KEYS, problems)
-    power_w = _constrain(
-        _number(tx_raw, "transmitter", "power_w", problems, required=True),
-        "transmitter.power_w",
-        problems,
-        gt=0.0,
-    )
-    gain_db = _number(tx_raw, "transmitter", "gain_db", problems, default=17.0)
-    gain_linear = _constrain(
-        _number(tx_raw, "transmitter", "gain_linear", problems),
-        "transmitter.gain_linear",
-        problems,
-        gt=0.0,
-    )
-    freq_mhz = _constrain(
-        _number(tx_raw, "transmitter", "freq_mhz", problems, required=True),
-        "transmitter.freq_mhz",
-        problems,
-        gt=0.0,
-    )
-    antenna_dim_m = _constrain(
-        _number(tx_raw, "transmitter", "antenna_dim_m", problems, default=1.0),
-        "transmitter.antenna_dim_m",
-        problems,
-        ge=0.0,
-    )
+    sections: dict[str, dict] = {}
+    values: dict[str, dict] = {}
+    for name, rows in _FIELDS.items():
+        known = {key for key, _, _ in rows} | (_GREEN_PROFILES.keys() if name == "green" else set())
+        sections[name] = _object(raw.get(name), name, known, problems)
+        if name == "thresholds":
+            freq_mhz = values["transmitter"]["freq_mhz"]
+            limit = None if freq_mhz is None else default_thresholds(freq_mhz).limit_w_m2
+            rows = [(key, limit if d is _LIMIT_FROM_FREQ else d, b) for key, d, b in rows]
+        values[name] = _numbers(sections[name], name, rows, problems)
+    profiles = {
+        name: _profile(sections["green"].get(name), f"green.{name}", kind, problems)
+        for name, kind in _GREEN_PROFILES.items()
+    }
 
-    geom_raw = _section(raw, "geometry", _GEOMETRY_KEYS, problems)
-    altitude_m = _constrain(
-        _number(geom_raw, "geometry", "altitude_m", problems, default=150.0),
-        "geometry.altitude_m",
-        problems,
-        ge=0.0,
-    )
-    ground_offset_m = _constrain(
-        _number(geom_raw, "geometry", "ground_offset_m", problems, default=0.0),
-        "geometry.ground_offset_m",
-        problems,
-        ge=0.0,
-    )
-    bs_antenna_height_m = _constrain(
-        _number(geom_raw, "geometry", "bs_antenna_height_m", problems, default=200.0),
-        "geometry.bs_antenna_height_m",
-        problems,
-        gt=0.0,
-    )
-    rx_antenna_height_m = _constrain(
-        _number(geom_raw, "geometry", "rx_antenna_height_m", problems, default=1.5),
-        "geometry.rx_antenna_height_m",
-        problems,
-        gt=0.0,
-    )
-    rx_gain_db = _number(geom_raw, "geometry", "rx_gain_db", problems, default=0.0)
-
-    thr_raw = _section(raw, "thresholds", _THRESHOLD_KEYS, problems)
-    if freq_mhz is not None:
-        derived_limit = default_thresholds(freq_mhz).limit_w_m2
-    else:
-        derived_limit = 4.5
-    limit_w_m2 = _constrain(
-        _number(thr_raw, "thresholds", "limit_w_m2", problems, default=derived_limit),
-        "thresholds.limit_w_m2",
-        problems,
-        gt=0.0,
-    )
-    caution_fraction = _number(
-        thr_raw, "thresholds", "caution_fraction", problems, default=0.1
-    )
-    caution_fraction = _constrain(
-        _constrain(caution_fraction, "thresholds.caution_fraction", problems, gt=0.0),
-        "thresholds.caution_fraction",
-        problems,
-        lt=1.0,
-    )
-
-    green_raw = _section(raw, "green", _GREEN_KEYS, problems)
-    hours_per_year = _constrain(
-        _number(green_raw, "green", "hours_per_year", problems, default=HOURS_PER_YEAR),
-        "green.hours_per_year",
-        problems,
-        gt=0.0,
-    )
-    terrestrial_raw = green_raw.get("terrestrial", {})
-    balloon_raw = green_raw.get("balloon", {})
-    if not isinstance(terrestrial_raw, dict):
-        problems.append("green.terrestrial must be a JSON object")
-        terrestrial_raw = {}
-    if not isinstance(balloon_raw, dict):
-        problems.append("green.balloon must be a JSON object")
-        balloon_raw = {}
-    green_terrestrial = _profile(
-        terrestrial_raw, "green.terrestrial", SourceKind.DIESEL, problems
-    )
-    green_balloon = _profile(balloon_raw, "green.balloon", SourceKind.SOLAR, problems)
-
-    sweeps_raw = _section(raw, "sweeps", _SWEEP_KEYS, problems)
-    ground_raw = sweeps_raw.get("ground_offset", {})
-    altitude_raw = sweeps_raw.get("altitude", {})
-    range_raw = sweeps_raw.get("range", {})
-    for name, value in (
-        ("ground_offset", ground_raw),
-        ("altitude", altitude_raw),
-        ("range", range_raw),
-    ):
-        if not isinstance(value, dict):
-            problems.append(f"sweeps.{name} must be a JSON object")
-    if not isinstance(ground_raw, dict):
-        ground_raw = {}
-    if not isinstance(altitude_raw, dict):
-        altitude_raw = {}
-    if not isinstance(range_raw, dict):
-        range_raw = {}
-    ground_sweep = _sweep_range(
-        ground_raw,
-        "sweeps.ground_offset",
-        (0.0, 25.0, DEFAULT_NUM_STEPS),
-        problems,
-        min_exclusive=False,
-    )
-    if ground_sweep is not None and ground_sweep.min != 0.0:
-        problems.append("sweeps.ground_offset.min must be 0 (profile starts under the platform)")
-        ground_sweep = None
-    altitude_sweep = _sweep_range(
-        altitude_raw,
-        "sweeps.altitude",
-        (200.0, 400.0, DEFAULT_NUM_STEPS),
-        problems,
-        min_exclusive=True,
-    )
-    range_sweep = _sweep_range(
-        range_raw,
-        "sweeps.range",
-        (10.0, 500.0, DEFAULT_NUM_STEPS),
-        problems,
-        min_exclusive=True,
-    )
-
-    distances_raw = sweeps_raw.get("distances_m", [10.0, 100.0, 500.0])
-    table_distances: list[float] = []
-    if not isinstance(distances_raw, list):
+    sweeps = _object(raw.get("sweeps"), "sweeps", {*_SWEEPS, "distances_m"}, problems)
+    ranges = {
+        name: _sweep_range(sweeps.get(name), f"sweeps.{name}", *row, problems)
+        for name, row in _SWEEPS.items()
+    }
+    distances = sweeps.get("distances_m", list(_DISTANCES_M))
+    if not isinstance(distances, list):
         problems.append("sweeps.distances_m must be a list of numbers")
-    elif not distances_raw:
+        distances = []
+    elif not distances:
         problems.append("sweeps.distances_m must not be empty")
-    else:
-        for i, value in enumerate(distances_raw):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                problems.append(f"sweeps.distances_m[{i}] must be a number")
-            elif not float(value) > 0.0:
-                problems.append(f"sweeps.distances_m[{i}] must be > 0")
-            else:
-                table_distances.append(float(value))
+    table_distances = tuple(
+        _number(value, f"sweeps.distances_m[{i}]", None, _POSITIVE, problems)
+        for i, value in enumerate(distances)
+    )
 
     output_dir = raw.get("output_dir", ".")
     if not isinstance(output_dir, str) or not output_dir:
         problems.append("output_dir must be a non-empty string")
-        output_dir = "."
 
     if problems:
         raise ScenarioValidationError(problems)
 
-    notes: list[str] = []
-    if "gain_linear" in tx_raw and "gain_db" in tx_raw:
-        notes.append(f"gain_linear={gain_linear:g} overrides gain_db={gain_db:g}")
+    tx = values["transmitter"]
+    notes = []
+    if "gain_linear" in sections["transmitter"] and "gain_db" in sections["transmitter"]:
+        notes.append(f"gain_linear={tx['gain_linear']:g} overrides gain_db={tx['gain_db']:g}")
 
     return Scenario(
-        transmitter=TransmitterConfig(
-            power_w=power_w,
-            gain_db=gain_db,
-            freq_mhz=freq_mhz,
-            antenna_dim_m=antenna_dim_m,
-            gain_linear=gain_linear,
-        ),
-        geometry=LinkGeometry(
-            altitude_m=altitude_m,
-            ground_offset_m=ground_offset_m,
-            bs_antenna_height_m=bs_antenna_height_m,
-            rx_antenna_height_m=rx_antenna_height_m,
-            rx_gain_db=rx_gain_db,
-        ),
-        thresholds=ZoneThresholds(
-            limit_w_m2=limit_w_m2, caution_fraction=caution_fraction
-        ),
-        green_terrestrial=green_terrestrial,
-        green_balloon=green_balloon,
-        hours_per_year=hours_per_year,
-        ground_offset_sweep=ground_sweep,
-        altitude_sweep=altitude_sweep,
-        range_sweep=range_sweep,
-        table_distances_m=tuple(table_distances),
+        transmitter=TransmitterConfig(**tx),
+        geometry=LinkGeometry(**values["geometry"]),
+        thresholds=ZoneThresholds(**values["thresholds"]),
+        green_terrestrial=profiles["terrestrial"],
+        green_balloon=profiles["balloon"],
+        hours_per_year=values["green"]["hours_per_year"],
+        ground_offset_sweep=ranges["ground_offset"],
+        altitude_sweep=ranges["altitude"],
+        range_sweep=ranges["range"],
+        table_distances_m=table_distances,
         output_dir=output_dir,
         notes=tuple(notes),
     )

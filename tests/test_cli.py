@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from balloonlink import scenario as scen
 from balloonlink.cli import FIGURE_IDS
 
 TABLE1_GOLDEN = """\
@@ -36,6 +37,17 @@ class TestTable1:
         assert len(lines) == 2
         # 20*50/(4*pi*50^2) = 0.0318310
         assert lines[1] == "5.00000e+01,3.18310e-02"
+
+    def test_non_finite_distance_is_validation_error(self, run_cli, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(
+            '{"transmitter": {"power_w": 20, "freq_mhz": 900}, "sweeps": {"distances_m": [1e400, 10]}}',
+            encoding="utf-8",
+        )
+        assert run_cli("table1", "--scenario", str(path), "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err == "error: invalid scenario: sweeps.distances_m[0] must be finite\n"
+        assert not (tmp_path / "table1.csv").exists()
 
     def test_section_six_maxima_as_table_rows(self, run_cli, write_scenario, tmp_path):
         path = write_scenario(
@@ -294,6 +306,19 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, parameter",
+        [
+            (("coverage", "--max-path-loss-db", "1e6"), "max_path_loss_db"),
+            (("coverage", "--max-path-loss-db", "5000"), "max_path_loss_db"),
+            (("green", "--balloon-radius-km", "1e155"), "balloon_radius_km"),
+            (("green", "--terrestrial-radius-km", "1e-160"), "terrestrial_radius_km"),
+        ],
+    )
+    def test_overflow_error_names_its_input(self, run_cli, tmp_path, capsys, argv, parameter):
+        assert run_cli(*argv, "--out", str(tmp_path)) == 1
+        assert parameter in capsys.readouterr().err
+
     def test_missing_command_is_usage_error(self, run_cli):
         with pytest.raises(SystemExit) as excinfo:
             run_cli()
@@ -310,6 +335,22 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "2.68 kg CO2/L" in out
         assert "8760" in out
+
+    def test_help_lists_every_table_default(self, run_cli, capsys):
+        with pytest.raises(SystemExit):
+            run_cli("--help")
+        out = capsys.readouterr().out
+        for rows in scen._FIELDS.values():
+            for key, default, _ in rows:
+                if isinstance(default, float):
+                    assert f"{key}={default:g}" in out
+        for profile in scen._PROFILE_DEFAULTS.values():
+            assert profile.summary() in out
+        for name, (lo, hi, _) in scen._SWEEPS.items():
+            assert f"{name}={lo:g}..{hi:g} m" in out
+        key, steps, bounds = scen._STEPS
+        assert f"{key}={steps} ({bounds[0][1]}..{bounds[1][1]})" in out
+        assert "distances_m=[" + ", ".join(f"{d:g}" for d in scen._DISTANCES_M) + "]" in out
 
 
 class TestDeterminism:

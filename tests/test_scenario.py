@@ -1,5 +1,9 @@
 """Unit tests for scenario file loading and validation."""
 
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 from balloonlink import scenario as scen
@@ -28,6 +32,19 @@ class TestDefaults:
         assert loaded.table_distances_m == (10.0, 100.0, 500.0)
         assert loaded.output_dir == "."
         assert loaded.notes == ()
+
+    def test_bundled_file_spells_out_the_table_defaults(self):
+        # the bundled file differs from the defaults only by its gain_linear override
+        overrides = {
+            "transmitter": {"power_w": 20.0, "gain_db": 17.0, "gain_linear": 50.0, "freq_mhz": 900.0}
+        }
+        assert scen.load_scenario(scen.default_scenario_path()) == scen.scenario_from_dict(overrides)
+
+    def test_readme_block_is_the_bundled_file(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```json\n(.*?)```", readme, re.DOTALL).group(1)
+        bundled = scen.default_scenario_path().read_text(encoding="utf-8")
+        assert json.loads(block) == json.loads(bundled)
 
     def test_threshold_limit_follows_frequency(self, write_scenario):
         payload = {"transmitter": {"power_w": 20.0, "freq_mhz": 1800.0}}
@@ -145,6 +162,31 @@ class TestValidation:
         assert "sweeps.ground_offset.min must be 0" in message
         assert "sweeps.altitude.max must be > sweeps.altitude.min" in message
         assert "sweeps.range.steps must be an integer >= 2" in message
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["Infinity", "-Infinity", "NaN", "1e400", "1" + "0" * 400],
+        ids=["inf", "-inf", "nan", "1e400", "int-10**400"],
+    )
+    def test_non_finite_distance_rejected(self, tmp_path, literal):
+        path = tmp_path / "scenario.json"
+        payload = json.dumps(dict(MINIMAL, sweeps={"distances_m": ["@", 10.0]}))
+        path.write_text(payload.replace('"@"', literal), encoding="utf-8")
+        with pytest.raises(scen.ScenarioValidationError) as excinfo:
+            scen.load_scenario(path)
+        assert excinfo.value.problems == ("sweeps.distances_m[0] must be finite",)
+
+    def test_zero_altitude_rejected(self, write_scenario):
+        payload = dict(MINIMAL, geometry={"altitude_m": 0})
+        with pytest.raises(scen.ScenarioValidationError) as excinfo:
+            scen.load_scenario(write_scenario(payload))
+        assert excinfo.value.problems == ("geometry.altitude_m must be > 0",)
+
+    def test_steps_capped(self, write_scenario):
+        payload = dict(MINIMAL, sweeps={"range": {"steps": 100_002}, "altitude": {"steps": 100_001}})
+        with pytest.raises(scen.ScenarioValidationError) as excinfo:
+            scen.load_scenario(write_scenario(payload))
+        assert excinfo.value.problems == ("sweeps.range.steps must be an integer <= 100001",)
 
     def test_empty_distances_rejected(self, write_scenario):
         payload = dict(MINIMAL)
