@@ -12,6 +12,10 @@ from dataclasses import dataclass
 
 from .propagation import hata_correction_small_city, hata_slope_db_per_decade
 
+# Largest constellation laid out: the layout and the union area scan
+# every pair of cells, so their time grows as the square of the count.
+MAX_BALLOONS = 1000
+
 # Hexagonal lattice spacing factor: disks of radius D centered sqrt(3)*D
 # apart overlap minimally while leaving no gap.
 HEX_SPACING_FACTOR = math.sqrt(3.0)
@@ -110,6 +114,11 @@ def cell_radius_from_budget(
             f"max_path_loss_db={max_path_loss_db:g} is too large: the cell radius, "
             f"10^{exponent:.6g} km, has an area beyond float range"
         )
+    if radius * radius == 0.0:
+        raise ValueError(
+            f"max_path_loss_db={max_path_loss_db:g} is too small: the cell radius, "
+            f"10^{exponent:.6g} km, has an area below float range"
+        )
     return radius
 
 
@@ -125,10 +134,12 @@ def constellation_layout(num_balloons: int, radius_km: float) -> Constellation:
 
     The first cell sits at the origin; each following ring is filled
     counterclockwise starting from the +x axis. Deterministic: the same
-    inputs always produce the same ordered centers.
+    inputs always produce the same ordered centers. At most MAX_BALLOONS.
     """
     if num_balloons < 1:
         raise ValueError("num_balloons must be >= 1")
+    if num_balloons > MAX_BALLOONS:
+        raise ValueError(f"num_balloons={num_balloons} is above the cap of {MAX_BALLOONS}")
     if radius_km <= 0.0:
         raise ValueError("radius_km must be > 0")
     spacing = HEX_SPACING_FACTOR * radius_km
@@ -204,8 +215,8 @@ def replacement_count(balloon_radius_km: float, terrestrial_radius_km: float) ->
     """Terrestrial cells one platform cell replaces, by area ratio.
 
     ceil((D_balloon / D_terrestrial)^2), since a fractional tower cannot
-    be deployed. A tiny slack absorbs float noise so exact integer ratios
-    stay exact.
+    be deployed, and at least 1. A tiny slack absorbs float noise so exact
+    integer ratios stay exact.
     """
     if not (balloon_radius_km > 0.0 and terrestrial_radius_km > 0.0):
         raise ValueError("radii must be > 0")
@@ -218,4 +229,4 @@ def replacement_count(balloon_radius_km: float, terrestrial_radius_km: float) ->
             f"balloon_radius_km={balloon_radius_km:g} over terrestrial_radius_km="
             f"{terrestrial_radius_km:g} is too large: the area ratio is beyond float range"
         )
-    return math.ceil(ratio - 1e-9)
+    return max(1, math.ceil(ratio - 1e-9))

@@ -7,6 +7,7 @@ the same configuration produce byte-identical output.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 
@@ -20,4 +21,17 @@ def render(lines: list[str]) -> str:
 
 
 def write_csv(path: Path, lines: list[str]) -> None:
-    path.write_text(render(lines), encoding="utf-8", newline="\n")
+    """Replace path atomically: a write that fails leaves the old file as it was.
+
+    The text goes to a temporary file in the same directory, which is then
+    renamed onto path, or removed if anything fails before the rename.
+    """
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    file = open(temp, "x", encoding="utf-8", newline="\n")
+    try:
+        with file:
+            file.write(render(lines))
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise

@@ -107,6 +107,21 @@ def _sample_axis(lo: float, hi: float, num_steps: int) -> list[float]:
     return xs
 
 
+def _sweep(label: str, abscissa_name: str, xs, value) -> SweepSeries:
+    """The series of (x, value(x)) over the abscissas xs."""
+    return SweepSeries(label, abscissa_name, tuple((x, value(x)) for x in xs))
+
+
+def _check_range(axis: str, lo: float, hi: float) -> None:
+    if not 0.0 < lo < hi:
+        raise ValueError(f"need 0 < {axis}_min_m < {axis}_max_m")
+
+
+def _check_non_negative(name: str, value: float) -> None:
+    if value < 0.0:
+        raise ValueError(f"{name} must be >= 0")
+
+
 def table_one(
     tx: TransmitterConfig, distances_m: list[float]
 ) -> tuple[tuple[float, float], ...]:
@@ -131,21 +146,14 @@ def ground_density_profile(
     """
     if altitude_m <= 0.0:
         raise ValueError("altitude_m must be > 0")
-    if offset_max_m < 0.0:
-        raise ValueError("offset_max_m must be >= 0")
+    _check_non_negative("offset_max_m", offset_max_m)
     gain = tx.linear_gain()
-    if offset_max_m == 0.0:
-        offsets = [0.0]
-    else:
-        offsets = _sample_axis(0.0, offset_max_m, num_steps)
-    points = tuple(
-        (d, power_density(tx.power_w, gain, slant_range(altitude_m, d)))
-        for d in offsets
-    )
-    return SweepSeries(
-        label=f"ground power density, platform at {altitude_m:g} m",
-        abscissa_name="ground_offset_m",
-        points=points,
+    offsets = [0.0] if offset_max_m == 0.0 else _sample_axis(0.0, offset_max_m, num_steps)
+    return _sweep(
+        f"ground power density, platform at {altitude_m:g} m",
+        "ground_offset_m",
+        offsets,
+        lambda d: power_density(tx.power_w, gain, slant_range(altitude_m, d)),
     )
 
 
@@ -157,19 +165,14 @@ def altitude_density_profile(
     num_steps: int = DEFAULT_NUM_STEPS,
 ) -> SweepSeries:
     """Ground-point power density as the platform altitude rises."""
-    if not 0.0 < altitude_min_m < altitude_max_m:
-        raise ValueError("need 0 < altitude_min_m < altitude_max_m")
-    if ground_offset_m < 0.0:
-        raise ValueError("ground_offset_m must be >= 0")
+    _check_range("altitude", altitude_min_m, altitude_max_m)
+    _check_non_negative("ground_offset_m", ground_offset_m)
     gain = tx.linear_gain()
-    points = tuple(
-        (a, power_density(tx.power_w, gain, slant_range(a, ground_offset_m)))
-        for a in _sample_axis(altitude_min_m, altitude_max_m, num_steps)
-    )
-    return SweepSeries(
-        label=f"power density vs platform altitude, offset {ground_offset_m:g} m",
-        abscissa_name="altitude_m",
-        points=points,
+    return _sweep(
+        f"power density vs platform altitude, offset {ground_offset_m:g} m",
+        "altitude_m",
+        _sample_axis(altitude_min_m, altitude_max_m, num_steps),
+        lambda a: power_density(tx.power_w, gain, slant_range(a, ground_offset_m)),
     )
 
 
@@ -180,17 +183,13 @@ def efield_profile(
     num_steps: int = DEFAULT_NUM_STEPS,
 ) -> SweepSeries:
     """Rms E-field over a straight-line distance sweep; falls off as 1/R."""
-    if not 0.0 < range_min_m < range_max_m:
-        raise ValueError("need 0 < range_min_m < range_max_m")
+    _check_range("range", range_min_m, range_max_m)
     gain = tx.linear_gain()
-    points = tuple(
-        (r, e_field_rms(tx.power_w, gain, r))
-        for r in _sample_axis(range_min_m, range_max_m, num_steps)
-    )
-    return SweepSeries(
-        label="rms E-field vs distance",
-        abscissa_name="range_m",
-        points=points,
+    return _sweep(
+        "rms E-field vs distance",
+        "range_m",
+        _sample_axis(range_min_m, range_max_m, num_steps),
+        lambda r: e_field_rms(tx.power_w, gain, r),
     )
 
 
@@ -201,17 +200,13 @@ def range_density_profile(
     num_steps: int = DEFAULT_NUM_STEPS,
 ) -> SweepSeries:
     """Power density over a straight-line distance sweep (1/R^2 falloff)."""
-    if not 0.0 < range_min_m < range_max_m:
-        raise ValueError("need 0 < range_min_m < range_max_m")
+    _check_range("range", range_min_m, range_max_m)
     gain = tx.linear_gain()
-    points = tuple(
-        (r, power_density(tx.power_w, gain, r))
-        for r in _sample_axis(range_min_m, range_max_m, num_steps)
-    )
-    return SweepSeries(
-        label="power density vs distance",
-        abscissa_name="range_m",
-        points=points,
+    return _sweep(
+        "power density vs distance",
+        "range_m",
+        _sample_axis(range_min_m, range_max_m, num_steps),
+        lambda r: power_density(tx.power_w, gain, r),
     )
 
 
@@ -225,23 +220,15 @@ def received_power_profile(
     num_steps: int = DEFAULT_NUM_STEPS,
 ) -> SweepSeries:
     """Received power at a ground point as the platform altitude rises."""
-    if not 0.0 < altitude_min_m < altitude_max_m:
-        raise ValueError("need 0 < altitude_min_m < altitude_max_m")
-    if ground_offset_m < 0.0:
-        raise ValueError("ground_offset_m must be >= 0")
+    _check_range("altitude", altitude_min_m, altitude_max_m)
+    _check_non_negative("ground_offset_m", ground_offset_m)
     tx_gain = tx.linear_gain()
     rx_gain = db_to_linear(rx_gain_db)
-    points = tuple(
-        (
-            a,
-            received_power(
-                tx.power_w, tx_gain, rx_gain, freq_mhz, slant_range(a, ground_offset_m)
-            ),
-        )
-        for a in _sample_axis(altitude_min_m, altitude_max_m, num_steps)
-    )
-    return SweepSeries(
-        label=f"received power vs platform altitude, offset {ground_offset_m:g} m",
-        abscissa_name="altitude_m",
-        points=points,
+    return _sweep(
+        f"received power vs platform altitude, offset {ground_offset_m:g} m",
+        "altitude_m",
+        _sample_axis(altitude_min_m, altitude_max_m, num_steps),
+        lambda a: received_power(
+            tx.power_w, tx_gain, rx_gain, freq_mhz, slant_range(a, ground_offset_m)
+        ),
     )

@@ -1,11 +1,14 @@
 """CLI behavior: file contents, exit codes, determinism."""
 
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from balloonlink import cli
 from balloonlink import scenario as scen
 from balloonlink.cli import FIGURE_IDS
 
@@ -92,6 +95,14 @@ class TestExposure:
         assert "# note:" in text
         assert "power density" in text
 
+    def test_failed_figure_writes_no_figure(self, run_cli, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("received power failed")
+
+        monkeypatch.setattr(cli, "received_power_profile", fail)
+        assert run_cli("exposure", "--out", str(tmp_path)) == 1
+        assert list(tmp_path.glob("fig*.csv")) == []
+
     def test_unknown_figure_is_usage_error(self, run_cli, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             run_cli("exposure", "--figure", "fig9", "--out", str(tmp_path))
@@ -141,6 +152,13 @@ class TestCoverage:
         for index, x, y in rows[1:]:
             distance = math.hypot(float(x), float(y))
             assert distance == pytest.approx(math.sqrt(3.0) * 10.0, rel=1e-5)
+
+
+    def test_more_balloons_than_the_cap_is_validation_error(self, run_cli, tmp_path, capsys):
+        argv = ("coverage", "--num-balloons", "1001", "--out", str(tmp_path))
+        assert run_cli(*argv) == 1
+        assert "num_balloons" in capsys.readouterr().err
+        assert not (tmp_path / "coverage.csv").exists()
 
 
 class TestGreen:
@@ -313,6 +331,8 @@ class TestExitCodes:
             (("coverage", "--max-path-loss-db", "5000"), "max_path_loss_db"),
             (("green", "--balloon-radius-km", "1e155"), "balloon_radius_km"),
             (("green", "--terrestrial-radius-km", "1e-160"), "terrestrial_radius_km"),
+            (("coverage", "--max-path-loss-db", "-5000"), "max_path_loss_db"),
+            (("coverage", "--max-path-loss-db", "-20000"), "max_path_loss_db"),
         ],
     )
     def test_overflow_error_names_its_input(self, run_cli, tmp_path, capsys, argv, parameter):
@@ -351,6 +371,16 @@ class TestExitCodes:
         key, steps, bounds = scen._STEPS
         assert f"{key}={steps} ({bounds[0][1]}..{bounds[1][1]})" in out
         assert "distances_m=[" + ", ".join(f"{d:g}" for d in scen._DISTANCES_M) + "]" in out
+
+
+class TestReadme:
+    def test_command_block_and_profile_table_match_the_cli(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```sh\n(balloonlink .*?)```", readme, re.DOTALL).group(1)
+        commands = {line.split()[1] for line in block.splitlines() if line.startswith("balloonlink ")}
+        assert commands == set(cli.PRODUCTS)
+        assert tuple(re.findall(r"^\| (fig\d+) ", readme, re.MULTILINE)) == FIGURE_IDS
+        assert f"at most {cli.MAX_BALLOONS} balloons" in readme
 
 
 class TestDeterminism:

@@ -136,6 +136,10 @@ class TestConstellationLayout:
         second = cov.constellation_layout(12, 3.0)
         assert first == second
 
+    def test_rejects_more_than_the_cap(self):
+        with pytest.raises(ValueError, match="num_balloons"):
+            cov.constellation_layout(cov.MAX_BALLOONS + 1, 1.0)
+
     def test_rejects_zero_balloons(self):
         with pytest.raises(ValueError):
             cov.constellation_layout(0, 1.0)
@@ -212,6 +216,8 @@ class TestReplacementCount:
     def test_area_ratio_examples(self):
         assert cov.replacement_count(10.0, 1.0) == 100
         assert cov.replacement_count(3.0, 2.0) == 3  # ceil(2.25)
+        assert cov.replacement_count(1e-5, 1.0) == 1
+        assert cov.replacement_count(1e-200, 1.0) == 1  # the ratio underflows to 0.0
 
     def test_equal_radii(self):
         for radius in (0.3, 1.0, 7.7):
