@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .coverage import (
-    Cell,
     Constellation,
     cell_area_km2,
     cell_radius_from_budget,

@@ -125,8 +125,8 @@ def _coverage(s: Scenario, args: argparse.Namespace):
     union = union_area_km2(constellation)
     lines = _warnings(hata_validity_warnings(tx.freq_mhz, geometry.bs_antenna_height_m, radius))
     lines += [f"cell_radius_km,{fmt(radius)}", "# columns: index,x_km,y_km"]
-    for index, cell in enumerate(constellation.cells):
-        lines.append(f"{index},{fmt(cell.center_x_km)},{fmt(cell.center_y_km)}")
+    for index, (x, y) in enumerate(constellation.centers_km()):
+        lines.append(f"{index},{fmt(x)},{fmt(y)}")
     lines.append(f"union_area_km2,{fmt(union)}")
     yield "coverage.csv", lines
 

@@ -1,4 +1,4 @@
-"""Cell sizing and multi-platform constellation layout.
+"""Sizing of cells and layout of multi-platform constellations.
 
 Inverts the Hata model for the cell radius that exhausts a path-loss
 budget, lays platforms out on a hexagonal lattice and computes the exact
@@ -12,68 +12,54 @@ from dataclasses import dataclass
 
 from .propagation import hata_correction_small_city, hata_slope_db_per_decade
 
-# Largest constellation laid out: the layout and the union area scan
-# every pair of cells, so their time grows as the square of the count.
+# Largest constellation laid out. Layout and adjacency are linear in the
+# count; the cap bounds the size of coverage.csv, one line per platform.
 MAX_BALLOONS = 1000
 
 # Hexagonal lattice spacing factor: disks of radius D centered sqrt(3)*D
 # apart overlap minimally while leaving no gap.
 HEX_SPACING_FACTOR = math.sqrt(3.0)
 
-# Unit steps between neighboring lattice sites, counterclockwise from +x.
-_HALF_SQRT3 = math.sqrt(3.0) / 2.0
-_HEX_DIRECTIONS = (
-    (1.0, 0.0),
-    (0.5, _HALF_SQRT3),
-    (-0.5, _HALF_SQRT3),
-    (-1.0, 0.0),
-    (-0.5, -_HALF_SQRT3),
-    (0.5, -_HALF_SQRT3),
-)
-
-
-@dataclass(frozen=True)
-class Cell:
-    """A circular coverage cell on the plane, dimensions in km."""
-
-    radius_km: float
-    center_x_km: float = 0.0
-    center_y_km: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.radius_km <= 0.0:
-            raise ValueError("radius_km must be > 0")
+# Axial steps (q, r) between neighboring lattice sites, counterclockwise
+# from +x. The first three are the forward half that linked_pairs follows.
+_AXIAL_STEPS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
 
 @dataclass(frozen=True)
 class Constellation:
-    """Cells of one shared radius on a hexagonal lattice.
+    """Cells of one radius on distinct sites of a hexagonal lattice.
 
-    spacing_km is the center-to-center distance of adjacent cells and is
-    fixed at sqrt(3) times the cell radius. Every pair of centers is
-    either one spacing apart or at least 2 * radius apart, so only
-    adjacent cells overlap; union_area_km2 is exact because of this.
+    A site is an axial coordinate (q, r) of integers; its center lies at
+    x = spacing * (q + r/2), y = spacing * (sqrt(3)/2) * r, with spacing
+    sqrt(3) times the radius. Adjacent sites are one spacing apart and any
+    other two are at least 3 * radius apart, so only adjacent cells
+    overlap; union_area_km2 is exact because of this.
     """
 
-    cells: tuple[Cell, ...]
-    spacing_km: float
+    radius_km: float
+    sites: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if len(self.cells) < 1:
-            raise ValueError("constellation needs at least one cell")
-        radius = self.cells[0].radius_km
-        if any(cell.radius_km != radius for cell in self.cells):
-            raise ValueError("all cells must share one radius_km")
-        expected = HEX_SPACING_FACTOR * radius
-        if not math.isclose(self.spacing_km, expected, rel_tol=1e-12):
-            raise ValueError("spacing_km must equal sqrt(3) * radius_km")
-        for _, _, distance in _pair_distances(self.cells):
-            if distance < 2.0 * radius and not _is_spacing(distance, self.spacing_km):
-                raise ValueError("cells closer than 2 * radius_km must be spacing_km apart")
+        if not 0.0 < self.radius_km < math.inf:
+            raise ValueError("radius_km must be finite and > 0")
+        if len(self.sites) < 1:
+            raise ValueError("constellation needs at least one site")
+        for site in self.sites:
+            if type(site) is not tuple or tuple(map(type, site)) != (int, int):
+                raise ValueError(f"site {site!r} is not a pair of int axial coordinates")
+        if len(set(self.sites)) != len(self.sites):
+            raise ValueError("sites must be distinct")
 
     @property
-    def radius_km(self) -> float:
-        return self.cells[0].radius_km
+    def spacing_km(self) -> float:
+        """Center-to-center distance of adjacent cells, sqrt(3) * radius_km."""
+        return HEX_SPACING_FACTOR * self.radius_km
+
+    def centers_km(self) -> tuple[tuple[float, float], ...]:
+        """Centers (x, y) of the cells in km, in site order."""
+        spacing = self.spacing_km
+        row = spacing * math.sqrt(3.0) / 2.0
+        return tuple((spacing * (q + r / 2), row * r) for q, r in self.sites)
 
 
 def cell_radius_from_budget(
@@ -82,7 +68,7 @@ def cell_radius_from_budget(
     rx_antenna_height_m: float,
     max_path_loss_db: float,
 ) -> float:
-    """Cell radius D (km) at which the Hata path loss equals the budget.
+    """The cell radius D (km) at which the Hata path loss equals the budget.
 
     Closed-form inversion: log10(D) = (PL - fixed terms) / slope, with
     slope = 44.9 - 6.55*log10(h_te). Round-trips with hata_path_loss to
@@ -134,72 +120,53 @@ def constellation_layout(num_balloons: int, radius_km: float) -> Constellation:
 
     The first cell sits at the origin; each following ring is filled
     counterclockwise starting from the +x axis. Deterministic: the same
-    inputs always produce the same ordered centers. At most MAX_BALLOONS.
+    inputs always produce the same ordered sites. At most MAX_BALLOONS.
     """
     if num_balloons < 1:
         raise ValueError("num_balloons must be >= 1")
     if num_balloons > MAX_BALLOONS:
         raise ValueError(f"num_balloons={num_balloons} is above the cap of {MAX_BALLOONS}")
-    if radius_km <= 0.0:
-        raise ValueError("radius_km must be > 0")
-    spacing = HEX_SPACING_FACTOR * radius_km
-    centers = [(0.0, 0.0)]
+    sites = [(0, 0)]
     ring = 1
-    while len(centers) < num_balloons:
+    while len(sites) < num_balloons:
         for segment in range(6):
-            corner_x = ring * spacing * _HEX_DIRECTIONS[segment][0]
-            corner_y = ring * spacing * _HEX_DIRECTIONS[segment][1]
-            step = _HEX_DIRECTIONS[(segment + 2) % 6]
+            corner_q, corner_r = _AXIAL_STEPS[segment]
+            step_q, step_r = _AXIAL_STEPS[(segment + 2) % 6]
             for along in range(ring):
-                centers.append(
-                    (
-                        corner_x + along * spacing * step[0],
-                        corner_y + along * spacing * step[1],
-                    )
+                sites.append(
+                    (ring * corner_q + along * step_q, ring * corner_r + along * step_r)
                 )
         ring += 1
-    cells = tuple(
-        Cell(radius_km=radius_km, center_x_km=x, center_y_km=y)
-        for x, y in centers[:num_balloons]
-    )
-    return Constellation(cells=cells, spacing_km=spacing)
-
-
-def _pair_distances(cells: tuple[Cell, ...]):
-    """Yield (i, j, center distance) for every index pair i < j."""
-    for i, a in enumerate(cells):
-        for j, b in enumerate(cells[i + 1 :], start=i + 1):
-            yield i, j, math.hypot(a.center_x_km - b.center_x_km, a.center_y_km - b.center_y_km)
-
-
-def _is_spacing(distance_km: float, spacing_km: float) -> bool:
-    return math.isclose(distance_km, spacing_km, rel_tol=1e-9)
+    return Constellation(radius_km=radius_km, sites=tuple(sites[:num_balloons]))
 
 
 def linked_pairs(constellation: Constellation) -> tuple[tuple[int, int], ...]:
-    """Index pairs of adjacent cells (centers one lattice spacing apart).
+    """Sorted index pairs (i, j), i < j, of adjacent cells.
 
     Adjacency is the inter-platform link topology; the radio or optical
     link itself is not modeled.
     """
-    return tuple(
-        (i, j)
-        for i, j, distance in _pair_distances(constellation.cells)
-        if _is_spacing(distance, constellation.spacing_km)
-    )
+    index = {site: i for i, site in enumerate(constellation.sites)}
+    pairs = []
+    for i, (q, r) in enumerate(constellation.sites):
+        for step_q, step_r in _AXIAL_STEPS[:3]:
+            j = index.get((q + step_q, r + step_r))
+            if j is not None:
+                pairs.append((i, j) if i < j else (j, i))
+    return tuple(sorted(pairs))
 
 
 def union_area_km2(constellation: Constellation) -> float:
     """Exact area covered by at least one cell.
 
     Adjacent cells, sqrt(3)*D apart, overlap in a lens of area
-    D^2 * (pi/3 - sqrt(3)/2); cells further apart are at least 2*D apart
+    D^2 * (pi/3 - sqrt(3)/2); cells further apart are at least 3*D apart
     and disjoint. Three mutually adjacent cells share only their
     circumcenter, so inclusion-exclusion stops at the pair term:
     N * pi * D^2 - E * lens, with E the number of linked pairs.
     """
     unit_lens = math.pi / 3.0 - math.sqrt(3.0) / 2.0
-    unit_union = len(constellation.cells) * math.pi - len(linked_pairs(constellation)) * unit_lens
+    unit_union = len(constellation.sites) * math.pi - len(linked_pairs(constellation)) * unit_lens
     try:
         area = constellation.radius_km**2 * unit_union
     except OverflowError:
@@ -218,8 +185,12 @@ def replacement_count(balloon_radius_km: float, terrestrial_radius_km: float) ->
     be deployed, and at least 1. A tiny slack absorbs float noise so exact
     integer ratios stay exact.
     """
-    if not (balloon_radius_km > 0.0 and terrestrial_radius_km > 0.0):
-        raise ValueError("radii must be > 0")
+    for name, radius in (
+        ("balloon_radius_km", balloon_radius_km),
+        ("terrestrial_radius_km", terrestrial_radius_km),
+    ):
+        if not 0.0 < radius < math.inf:
+            raise ValueError(f"{name}={radius:g} must be finite and > 0")
     try:
         ratio = (balloon_radius_km / terrestrial_radius_km) ** 2
     except OverflowError:

@@ -139,32 +139,32 @@ def slant_range(altitude_m: float, ground_offset_m: float) -> float:
     R = sqrt(altitude^2 + offset^2). Both inputs must be >= 0 and at least
     one must be positive (R = 0 is a field singularity downstream).
     """
-    if altitude_m < 0.0 or ground_offset_m < 0.0:
-        raise ValueError("altitude_m and ground_offset_m must be >= 0")
+    if not (0.0 <= altitude_m < math.inf and 0.0 <= ground_offset_m < math.inf):
+        raise ValueError("altitude_m and ground_offset_m must be finite and >= 0")
     if altitude_m == 0.0 and ground_offset_m == 0.0:
         raise ValueError("altitude_m and ground_offset_m cannot both be 0")
     return math.hypot(altitude_m, ground_offset_m)
 
 
+def _check_field_inputs(power_w: float, gain_linear: float, range_m: float) -> None:
+    """Reject a negative power, a non-positive gain or range, and non-finite input."""
+    if not 0.0 <= power_w < math.inf:
+        raise ValueError("power_w must be finite and >= 0")
+    if not 0.0 < gain_linear < math.inf:
+        raise ValueError("gain_linear must be finite and > 0")
+    if not 0.0 < range_m < math.inf:
+        raise ValueError("range_m must be finite and > 0")
+
+
 def power_density(power_w: float, gain_linear: float, range_m: float) -> float:
     """Free-space power density P*G / (4*pi*R^2), in W/m^2."""
-    if power_w < 0.0:
-        raise ValueError("power_w must be >= 0")
-    if gain_linear <= 0.0:
-        raise ValueError("gain_linear must be > 0")
-    if range_m <= 0.0:
-        raise ValueError("range_m must be > 0")
+    _check_field_inputs(power_w, gain_linear, range_m)
     return power_w * gain_linear / (4.0 * math.pi * range_m * range_m)
 
 
 def e_field_rms(power_w: float, gain_linear: float, range_m: float) -> float:
     """Rms electric field sqrt(30*P*G) / R, in V/m."""
-    if power_w < 0.0:
-        raise ValueError("power_w must be >= 0")
-    if gain_linear <= 0.0:
-        raise ValueError("gain_linear must be > 0")
-    if range_m <= 0.0:
-        raise ValueError("range_m must be > 0")
+    _check_field_inputs(power_w, gain_linear, range_m)
     return math.sqrt(30.0 * power_w * gain_linear) / range_m
 
 
@@ -176,12 +176,9 @@ def received_power(
     range_m: float,
 ) -> float:
     """Friis received power P*Gt*Gr*lambda^2 / (4*pi*R)^2, in watts."""
-    if power_w < 0.0:
-        raise ValueError("power_w must be >= 0")
-    if tx_gain_linear <= 0.0 or rx_gain_linear <= 0.0:
-        raise ValueError("gains must be > 0")
-    if range_m <= 0.0:
-        raise ValueError("range_m must be > 0")
+    _check_field_inputs(power_w, tx_gain_linear, range_m)
+    if not 0.0 < rx_gain_linear < math.inf:
+        raise ValueError("rx_gain_linear must be finite and > 0")
     lam = wavelength_m(freq_mhz)
     return (
         power_w * tx_gain_linear * rx_gain_linear * lam * lam
@@ -245,14 +242,14 @@ class LinkGeometry:
     rx_gain_db: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.altitude_m < 0.0:
-            raise ValueError("altitude_m must be >= 0")
-        if self.ground_offset_m < 0.0:
-            raise ValueError("ground_offset_m must be >= 0")
-        if self.bs_antenna_height_m <= 0.0:
-            raise ValueError("bs_antenna_height_m must be > 0")
-        if self.rx_antenna_height_m <= 0.0:
-            raise ValueError("rx_antenna_height_m must be > 0")
+        if not 0.0 <= self.altitude_m < math.inf:
+            raise ValueError("altitude_m must be finite and >= 0")
+        if not 0.0 <= self.ground_offset_m < math.inf:
+            raise ValueError("ground_offset_m must be finite and >= 0")
+        if not 0.0 < self.bs_antenna_height_m < math.inf:
+            raise ValueError("bs_antenna_height_m must be finite and > 0")
+        if not 0.0 < self.rx_antenna_height_m < math.inf:
+            raise ValueError("rx_antenna_height_m must be finite and > 0")
         if not math.isfinite(self.rx_gain_db):
             raise ValueError("rx_gain_db must be finite")
 

@@ -1,5 +1,6 @@
 """CLI behavior: file contents, exit codes, determinism."""
 
+import hashlib
 import math
 import re
 import subprocess
@@ -152,6 +153,12 @@ class TestCoverage:
         for index, x, y in rows[1:]:
             distance = math.hypot(float(x), float(y))
             assert distance == pytest.approx(math.sqrt(3.0) * 10.0, rel=1e-5)
+
+    def test_largest_layout_golden_digest(self, run_cli, tmp_path):
+        # a full 1000-platform coverage.csv at the default budget, byte for byte
+        assert run_cli("coverage", "--num-balloons", "1000", "--out", str(tmp_path)) == 0
+        digest = hashlib.sha256((tmp_path / "coverage.csv").read_bytes()).hexdigest()
+        assert digest == "43f93f67dc633d2745980c218d2c9c4a1f5a5b31830f2192543799a7648ece4f"
 
 
     def test_more_balloons_than_the_cap_is_validation_error(self, run_cli, tmp_path, capsys):
@@ -333,6 +340,7 @@ class TestExitCodes:
             (("green", "--terrestrial-radius-km", "1e-160"), "terrestrial_radius_km"),
             (("coverage", "--max-path-loss-db", "-5000"), "max_path_loss_db"),
             (("coverage", "--max-path-loss-db", "-20000"), "max_path_loss_db"),
+            (("green", "--terrestrial-radius-km", "inf"), "terrestrial_radius_km"),
         ],
     )
     def test_overflow_error_names_its_input(self, run_cli, tmp_path, capsys, argv, parameter):

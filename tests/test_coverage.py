@@ -20,8 +20,8 @@ def _lens_area(radius, distance):
 def _monte_carlo_union(constellation, samples=400_000, seed=42):
     """Seeded sampling estimate of the area covered by at least one cell."""
     radius = constellation.radius_km
-    xs = [cell.center_x_km for cell in constellation.cells]
-    ys = [cell.center_y_km for cell in constellation.cells]
+    xs = [x for x, _ in constellation.centers_km()]
+    ys = [y for _, y in constellation.centers_km()]
     x_lo, x_hi = min(xs) - radius, max(xs) + radius
     y_lo, y_hi = min(ys) - radius, max(ys) + radius
     rng = np.random.default_rng(seed)
@@ -31,6 +31,17 @@ def _monte_carlo_union(constellation, samples=400_000, seed=42):
     for x, y in zip(xs, ys):
         covered |= (px - x) ** 2 + (py - y) ** 2 <= radius * radius
     return (x_hi - x_lo) * (y_hi - y_lo) * float(covered.mean())
+
+
+def _reference_linked_pairs(constellation):
+    """Adjacency from float center distances: every pair one spacing apart."""
+    centers = constellation.centers_km()
+    return tuple(
+        (i, j)
+        for i, (ax, ay) in enumerate(centers)
+        for j, (bx, by) in enumerate(centers[i + 1 :], start=i + 1)
+        if math.isclose(math.hypot(ax - bx, ay - by), constellation.spacing_km, rel_tol=1e-9)
+    )
 
 
 class TestCellRadiusFromBudget:
@@ -93,42 +104,34 @@ class TestCellArea:
 class TestConstellationLayout:
     def test_single_cell_at_origin(self):
         constellation = cov.constellation_layout(1, 5.0)
-        assert len(constellation.cells) == 1
-        cell = constellation.cells[0]
-        assert (cell.center_x_km, cell.center_y_km) == (0.0, 0.0)
+        assert constellation.sites == ((0, 0),)
+        assert constellation.centers_km() == ((0.0, 0.0),)
         assert constellation.spacing_km == pytest.approx(math.sqrt(3.0) * 5.0, rel=1e-12)
 
     def test_second_cell_on_positive_x(self):
         constellation = cov.constellation_layout(2, 1.0)
-        second = constellation.cells[1]
-        assert second.center_x_km == pytest.approx(math.sqrt(3.0), rel=1e-12)
-        assert second.center_y_km == 0.0
+        second_x, second_y = constellation.centers_km()[1]
+        assert second_x == pytest.approx(math.sqrt(3.0), rel=1e-12)
+        assert second_y == 0.0
 
     def test_seven_cells_form_one_ring(self):
         constellation = cov.constellation_layout(7, 1.0)
         spacing = constellation.spacing_km
-        for cell in constellation.cells[1:]:
-            distance = math.hypot(cell.center_x_km, cell.center_y_km)
-            assert distance == pytest.approx(spacing, rel=1e-12)
+        for x, y in constellation.centers_km()[1:]:
+            assert math.hypot(x, y) == pytest.approx(spacing, rel=1e-12)
 
     def test_first_ring_is_counterclockwise_from_x_axis(self):
         constellation = cov.constellation_layout(7, 1.0)
-        angles = [
-            math.atan2(c.center_y_km, c.center_x_km) % (2.0 * math.pi)
-            for c in constellation.cells[1:]
-        ]
+        angles = [math.atan2(y, x) % (2.0 * math.pi) for x, y in constellation.centers_km()[1:]]
         expected = [k * math.pi / 3.0 for k in range(6)]
         assert angles == pytest.approx(expected, abs=1e-12)
 
     def test_pairwise_spacing_lower_bound(self):
         constellation = cov.constellation_layout(19, 2.5)
-        cells = constellation.cells
-        for i in range(len(cells)):
-            for j in range(i + 1, len(cells)):
-                distance = math.hypot(
-                    cells[i].center_x_km - cells[j].center_x_km,
-                    cells[i].center_y_km - cells[j].center_y_km,
-                )
+        centers = constellation.centers_km()
+        for i, (ax, ay) in enumerate(centers):
+            for bx, by in centers[i + 1 :]:
+                distance = math.hypot(ax - bx, ay - by)
                 assert distance >= constellation.spacing_km - 1e-9
 
     def test_deterministic(self):
@@ -158,6 +161,11 @@ class TestLinkedPairs:
 
     def test_single_cell_has_no_links(self):
         assert cov.linked_pairs(cov.constellation_layout(1, 1.0)) == ()
+
+    @pytest.mark.parametrize("count", [*range(1, 128), 1000])
+    def test_matches_float_distance_reference(self, count):
+        constellation = cov.constellation_layout(count, 2.5)
+        assert cov.linked_pairs(constellation) == _reference_linked_pairs(constellation)
 
 
 class TestUnionArea:
@@ -235,27 +243,30 @@ class TestReplacementCount:
 
 
 class TestConstellationInvariants:
-    def test_mixed_radii_rejected(self):
-        cells = (cov.Cell(radius_km=1.0), cov.Cell(radius_km=2.0, center_x_km=3.0))
-        with pytest.raises(ValueError):
-            cov.Constellation(cells=cells, spacing_km=math.sqrt(3.0))
-
-    def test_wrong_spacing_rejected(self):
-        with pytest.raises(ValueError):
-            cov.Constellation(cells=(cov.Cell(radius_km=1.0),), spacing_km=2.0)
-
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            cov.Constellation(cells=(), spacing_km=1.0)
+        with pytest.raises(ValueError, match="at least one site"):
+            cov.Constellation(radius_km=1.0, sites=())
 
-    @pytest.mark.parametrize("second_x_km", [1.0, 0.0])
-    def test_off_lattice_pair_rejected(self, second_x_km):
-        # closer than 2 * radius but not one spacing apart; 0.0 duplicates the center
-        cells = (cov.Cell(radius_km=1.0), cov.Cell(radius_km=1.0, center_x_km=second_x_km))
-        with pytest.raises(ValueError):
-            cov.Constellation(cells=cells, spacing_km=math.sqrt(3.0))
+    def test_duplicate_site_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            cov.Constellation(radius_km=1.0, sites=((0, 0), (1, 0), (0, 0)))
+
+    @pytest.mark.parametrize(
+        "site",
+        [(0.5, 0), (1.0, 0), (0, True), (1, 0, 0), [1, 0]],
+        ids=["off_lattice", "float", "bool", "triple", "list"],
+    )
+    def test_non_integer_site_rejected(self, site):
+        with pytest.raises(ValueError, match="pair of int"):
+            cov.Constellation(radius_km=1.0, sites=((0, 0), site))
+
+    @pytest.mark.parametrize("radius_km", [0.0, -1.0, math.nan, math.inf])
+    def test_non_positive_or_non_finite_radius_rejected(self, radius_km):
+        with pytest.raises(ValueError, match="radius_km"):
+            cov.Constellation(radius_km=radius_km, sites=((0, 0),))
 
     def test_pair_at_least_two_radii_apart_accepted(self):
-        cells = (cov.Cell(radius_km=1.0), cov.Cell(radius_km=1.0, center_x_km=2.0))
-        constellation = cov.Constellation(cells=cells, spacing_km=math.sqrt(3.0))
+        # (1, 1) is a next-nearest site, 3 * radius from the origin: disjoint cells
+        constellation = cov.Constellation(radius_km=1.0, sites=((0, 0), (1, 1)))
+        assert cov.linked_pairs(constellation) == ()
         assert cov.union_area_km2(constellation) == pytest.approx(2.0 * math.pi, rel=1e-12)

@@ -366,3 +366,36 @@ class TestLinkBudget:
                 received_power_w=0.0,
                 range_m=0.0,
             )
+
+
+# name -> (callable, valid keyword arguments); each argument is fed NaN and +-inf
+_FINITE_GUARDED = {
+    "power_density": (prop.power_density, dict(power_w=1.0, gain_linear=1.0, range_m=1.0)),
+    "e_field_rms": (prop.e_field_rms, dict(power_w=1.0, gain_linear=1.0, range_m=1.0)),
+    "received_power": (
+        prop.received_power,
+        dict(power_w=1.0, tx_gain_linear=1.0, rx_gain_linear=1.0, freq_mhz=900.0, range_m=1.0),
+    ),
+    "slant_range": (prop.slant_range, dict(altitude_m=150.0, ground_offset_m=25.0)),
+    "LinkGeometry": (
+        prop.LinkGeometry,
+        dict(
+            altitude_m=150.0,
+            ground_offset_m=25.0,
+            bs_antenna_height_m=200.0,
+            rx_antenna_height_m=1.5,
+            rx_gain_db=0.0,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "name, argument", [(name, arg) for name, (_, kwargs) in _FINITE_GUARDED.items() for arg in kwargs]
+)
+def test_non_finite_argument_rejected(name, argument, value):
+    function, kwargs = _FINITE_GUARDED[name]
+    function(**kwargs)
+    with pytest.raises(ValueError):
+        function(**{**kwargs, argument: value})
