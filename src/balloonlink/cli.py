@@ -10,7 +10,6 @@ validation or usage error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -172,9 +171,9 @@ def _linkbudget(s: Scenario, args: argparse.Namespace):
     range_km = result.range_m / 1000.0
     lines = _warnings(hata_validity_warnings(tx.freq_mhz, geometry.bs_antenna_height_m, range_km))
     lines.append("key,value")
-    # the dataclass field order is the row order
-    for f in dataclasses.fields(result):
-        lines.append(f"{f.name},{fmt(getattr(result, f.name))}")
+    # the record's field order is the row order
+    for key in result._fields:
+        lines.append(f"{key},{fmt(getattr(result, key))}")
     yield None, lines
 
 

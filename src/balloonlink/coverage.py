@@ -8,9 +8,8 @@ union coverage area of the resulting cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .propagation import hata_correction_small_city, hata_slope_db_per_decade
+from .propagation import Record, hata_correction_small_city, hata_slope_db_per_decade
 
 # Largest constellation laid out. Layout and adjacency are linear in the
 # count; the cap bounds the size of coverage.csv, one line per platform.
@@ -25,8 +24,7 @@ HEX_SPACING_FACTOR = math.sqrt(3.0)
 _AXIAL_STEPS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
 
-@dataclass(frozen=True)
-class Constellation:
+class Constellation(Record):
     """Cells of one radius on distinct sites of a hexagonal lattice.
 
     A site is an axial coordinate (q, r) of integers; its center lies at
@@ -76,8 +74,8 @@ def cell_radius_from_budget(
     """
     if not math.isfinite(max_path_loss_db):
         raise ValueError("max_path_loss_db must be finite")
-    if freq_mhz <= 0.0 or bs_antenna_height_m <= 0.0:
-        raise ValueError("freq_mhz and bs_antenna_height_m must be > 0")
+    if not (0.0 < freq_mhz < math.inf and 0.0 < bs_antenna_height_m < math.inf):
+        raise ValueError("freq_mhz and bs_antenna_height_m must be finite and > 0")
     slope = hata_slope_db_per_decade(bs_antenna_height_m)
     if slope <= 0.0:
         raise ValueError(
@@ -110,8 +108,8 @@ def cell_radius_from_budget(
 
 def cell_area_km2(radius_km: float) -> float:
     """Area of one circular cell, pi * D^2."""
-    if radius_km <= 0.0:
-        raise ValueError("radius_km must be > 0")
+    if not 0.0 < radius_km < math.inf:
+        raise ValueError("radius_km must be finite and > 0")
     return math.pi * radius_km * radius_km
 
 

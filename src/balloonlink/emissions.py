@@ -9,9 +9,10 @@ surfaced in output so nobody mistakes them for ground truth.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
 
 from .coverage import replacement_count
+from .propagation import Record
 
 HOURS_PER_YEAR = 8760.0
 
@@ -27,8 +28,7 @@ class SourceKind(enum.Enum):
     GRID = "GRID"
 
 
-@dataclass(frozen=True)
-class PowerSourceProfile:
+class PowerSourceProfile(Record):
     """How one base station is powered and what it emits.
 
     Only the fields relevant to the source kind are consumed; a SOLAR
@@ -42,14 +42,9 @@ class PowerSourceProfile:
     grid_emission_kg_per_kwh: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "fuel_liters_per_hour",
-            "emission_factor_kg_per_liter",
-            "grid_kwh_per_hour",
-            "grid_emission_kg_per_kwh",
-        ):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+        for name in self._fields[1:]:
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.source_kind is SourceKind.SOLAR and (
             self.fuel_liters_per_hour != 0.0
             or self.emission_factor_kg_per_liter != 0.0
@@ -99,8 +94,7 @@ def grid_profile(
     )
 
 
-@dataclass(frozen=True)
-class GreenComparison:
+class GreenComparison(Record):
     """Annual CO2 of a terrestrial fleet vs one platform, in metric tonnes."""
 
     terrestrial_annual_tons: float
@@ -113,8 +107,8 @@ def annual_emissions_tons(
     profile: PowerSourceProfile, hours_per_year: float = HOURS_PER_YEAR
 ) -> float:
     """Annual CO2 output of one station, in metric tonnes."""
-    if hours_per_year <= 0.0:
-        raise ValueError("hours_per_year must be > 0")
+    if not 0.0 < hours_per_year < math.inf:
+        raise ValueError("hours_per_year must be finite and > 0")
     if profile.source_kind is SourceKind.SOLAR:
         return 0.0
     if profile.source_kind is SourceKind.DIESEL:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 
 from .propagation import (
+    Record,
     TransmitterConfig,
     db_to_linear,
     e_field_rms,
@@ -39,24 +39,23 @@ class ExposureZone(enum.IntEnum):
     EXCEEDS_LIMIT = 2
 
 
-@dataclass(frozen=True)
-class ZoneThresholds:
+class ZoneThresholds(Record):
     """Density limit and the fraction of it where caution starts."""
 
     limit_w_m2: float
     caution_fraction: float = DEFAULT_CAUTION_FRACTION
 
     def __post_init__(self) -> None:
-        if self.limit_w_m2 <= 0.0:
-            raise ValueError("limit_w_m2 must be > 0")
+        if not 0.0 < self.limit_w_m2 < math.inf:
+            raise ValueError("limit_w_m2 must be finite and > 0")
         if not 0.0 < self.caution_fraction < 1.0:
             raise ValueError("caution_fraction must be in (0, 1)")
 
 
 def default_thresholds(freq_mhz: float) -> ZoneThresholds:
     """Frequency-derived thresholds: f/200 W/m^2, clamped outside the band."""
-    if freq_mhz <= 0.0:
-        raise ValueError("freq_mhz must be > 0")
+    if not 0.0 < freq_mhz < math.inf:
+        raise ValueError("freq_mhz must be finite and > 0")
     lo, hi = ZONE_LIMIT_BAND_MHZ
     clamped = min(max(freq_mhz, lo), hi)
     return ZoneThresholds(limit_w_m2=clamped / 200.0)
@@ -75,13 +74,12 @@ def classify_zone(density_w_m2: float, thresholds: ZoneThresholds) -> ExposureZo
     return ExposureZone.SAFE
 
 
-@dataclass(frozen=True)
-class SweepSeries:
+class SweepSeries(Record):
     """An ordered 1-D profile: (abscissa, value) pairs plus labeling."""
 
     label: str
     abscissa_name: str
-    points: tuple[tuple[float, float], ...] = field(default_factory=tuple)
+    points: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
         abscissas = [p[0] for p in self.points]

@@ -10,7 +10,6 @@ pure, so callers may evaluate concurrently without locking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -40,8 +39,8 @@ def linear_to_db(ratio: float) -> float:
 
 def wavelength_m(freq_mhz: float) -> float:
     """Free-space wavelength in meters for a carrier given in MHz."""
-    if not (math.isfinite(freq_mhz) and freq_mhz > 0.0):
-        raise ValueError("freq_mhz must be > 0")
+    if not 0.0 < freq_mhz < math.inf:
+        raise ValueError("freq_mhz must be finite and > 0")
     return SPEED_OF_LIGHT_M_S / (freq_mhz * 1e6)
 
 
@@ -51,8 +50,8 @@ def near_field_distance(antenna_dim_m: float, freq_mhz: float) -> float:
     Used only as a distance marker; no separate near-field model is applied
     inside it.
     """
-    if antenna_dim_m < 0.0:
-        raise ValueError("antenna_dim_m must be >= 0")
+    if not 0.0 <= antenna_dim_m < math.inf:
+        raise ValueError("antenna_dim_m must be finite and >= 0")
     return 2.0 * antenna_dim_m * antenna_dim_m / wavelength_m(freq_mhz)
 
 
@@ -61,8 +60,8 @@ def hata_correction_small_city(freq_mhz: float, rx_antenna_height_m: float) -> f
 
     a(h_re) = (1.1*log10(f) - 0.7)*h_re - (1.56*log10(f) - 0.8)
     """
-    if freq_mhz <= 0.0 or rx_antenna_height_m <= 0.0:
-        raise ValueError("freq_mhz and rx_antenna_height_m must be > 0")
+    if not (0.0 < freq_mhz < math.inf and 0.0 < rx_antenna_height_m < math.inf):
+        raise ValueError("freq_mhz and rx_antenna_height_m must be finite and > 0")
     log_f = math.log10(freq_mhz)
     return (1.1 * log_f - 0.7) * rx_antenna_height_m - (1.56 * log_f - 0.8)
 
@@ -82,8 +81,8 @@ def hata_path_loss(
     formula is evaluated regardless of the empirical fitting ranges; use
     hata_validity_warnings() to check those.
     """
-    if freq_mhz <= 0.0 or bs_antenna_height_m <= 0.0 or distance_km <= 0.0:
-        raise ValueError("freq_mhz, bs_antenna_height_m and distance_km must be > 0")
+    if not (0.0 < bs_antenna_height_m < math.inf and 0.0 < distance_km < math.inf):
+        raise ValueError("bs_antenna_height_m and distance_km must be finite and > 0")
     correction = hata_correction_small_city(freq_mhz, rx_antenna_height_m)
     log_hte = math.log10(bs_antenna_height_m)
     return (
@@ -97,8 +96,8 @@ def hata_path_loss(
 
 def hata_slope_db_per_decade(bs_antenna_height_m: float) -> float:
     """Distance slope 44.9 - 6.55*log10(h_te) of the Hata model, dB/decade."""
-    if bs_antenna_height_m <= 0.0:
-        raise ValueError("bs_antenna_height_m must be > 0")
+    if not 0.0 < bs_antenna_height_m < math.inf:
+        raise ValueError("bs_antenna_height_m must be finite and > 0")
     return 44.9 - 6.55 * math.log10(bs_antenna_height_m)
 
 
@@ -186,8 +185,61 @@ def received_power(
     )
 
 
-@dataclass(frozen=True)
-class TransmitterConfig:
+class Record:
+    """Base of the frozen value classes.
+
+    A subclass's fields are its own annotations, in order, and a class
+    attribute of a field's name is its default. Record gives the subclass an
+    __init__ taking fields by position or keyword and then calling
+    __post_init__, plus ==, hash and repr over the field values; assigning
+    or deleting an attribute raises AttributeError.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} arguments, got {len(args)}")
+        extra = kwargs.keys() - cls._fields[len(args):]
+        if extra:
+            raise TypeError(f"{cls.__name__} got unknown or repeated arguments {sorted(extra)}")
+        values = dict(zip(cls._fields, args), **kwargs)
+        missing = [key for key in cls._fields if key not in values and not hasattr(cls, key)]
+        if missing:
+            raise TypeError(f"{cls.__name__} is missing the arguments {missing}")
+        for key in cls._fields:
+            object.__setattr__(self, key, values[key] if key in values else getattr(cls, key))
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, key) for key in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{key}={getattr(self, key)!r}" for key in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, key, value):
+        raise AttributeError(f"{type(self).__name__} is frozen; cannot assign {key!r}")
+
+    def __delattr__(self, key):
+        raise AttributeError(f"{type(self).__name__} is frozen; cannot delete {key!r}")
+
+
+class TransmitterConfig(Record):
     """Transmitter parameters.
 
     gain_db is the canonical gain; gain_linear, when set, is an explicit
@@ -203,18 +255,16 @@ class TransmitterConfig:
     gain_linear: float | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.power_w) and self.power_w >= 0.0):
-            raise ValueError("power_w must be >= 0")
+        if not 0.0 <= self.power_w < math.inf:
+            raise ValueError("power_w must be finite and >= 0")
         if not math.isfinite(self.gain_db):
             raise ValueError("gain_db must be finite")
-        if not (math.isfinite(self.freq_mhz) and self.freq_mhz > 0.0):
-            raise ValueError("freq_mhz must be > 0")
-        if not (math.isfinite(self.antenna_dim_m) and self.antenna_dim_m >= 0.0):
-            raise ValueError("antenna_dim_m must be >= 0")
-        if self.gain_linear is not None and not (
-            math.isfinite(self.gain_linear) and self.gain_linear > 0.0
-        ):
-            raise ValueError("gain_linear must be > 0 when given")
+        if not 0.0 < self.freq_mhz < math.inf:
+            raise ValueError("freq_mhz must be finite and > 0")
+        if not 0.0 <= self.antenna_dim_m < math.inf:
+            raise ValueError("antenna_dim_m must be finite and >= 0")
+        if self.gain_linear is not None and not 0.0 < self.gain_linear < math.inf:
+            raise ValueError("gain_linear must be finite and > 0 when given")
 
     def linear_gain(self) -> float:
         """Effective linear transmit gain; gain_linear wins over gain_db."""
@@ -226,8 +276,7 @@ class TransmitterConfig:
         return near_field_distance(self.antenna_dim_m, self.freq_mhz)
 
 
-@dataclass(frozen=True)
-class LinkGeometry:
+class LinkGeometry(Record):
     """One transmitter-to-ground geometry.
 
     altitude_m is the platform height above ground, ground_offset_m the
@@ -257,8 +306,7 @@ class LinkGeometry:
         return slant_range(self.altitude_m, self.ground_offset_m)
 
 
-@dataclass(frozen=True)
-class LinkBudgetResult:
+class LinkBudgetResult(Record):
     """Path loss, field quantities and received power at one geometry."""
 
     path_loss_db: float
@@ -268,12 +316,14 @@ class LinkBudgetResult:
     range_m: float
 
     def __post_init__(self) -> None:
-        if self.power_density_w_m2 < 0.0 or self.received_power_w < 0.0:
-            raise ValueError("power density and received power must be >= 0")
-        if self.e_field_v_m < 0.0:
-            raise ValueError("e_field_v_m must be >= 0 (rms magnitude)")
-        if self.range_m <= 0.0:
-            raise ValueError("range_m must be > 0")
+        if not math.isfinite(self.path_loss_db):
+            raise ValueError("path_loss_db must be finite")
+        if not (0.0 <= self.power_density_w_m2 < math.inf and 0.0 <= self.received_power_w < math.inf):
+            raise ValueError("power density and received power must be finite and >= 0")
+        if not 0.0 <= self.e_field_v_m < math.inf:
+            raise ValueError("e_field_v_m must be finite and >= 0 (rms magnitude)")
+        if not 0.0 < self.range_m < math.inf:
+            raise ValueError("range_m must be finite and > 0")
         # E and P_d must agree through the free-space impedance identity.
         implied = self.e_field_v_m**2 / FREE_SPACE_IMPEDANCE_OHM
         if self.power_density_w_m2 == 0.0:

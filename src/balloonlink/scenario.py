@@ -17,8 +17,6 @@ from __future__ import annotations
 import json
 import operator
 import sys
-from dataclasses import dataclass, fields
-from importlib import resources
 from pathlib import Path
 
 from .emissions import (
@@ -30,7 +28,7 @@ from .emissions import (
     solar_profile,
 )
 from .exposure import DEFAULT_NUM_STEPS, ZONE_LIMIT_BAND_MHZ, ZoneThresholds, default_thresholds
-from .propagation import LinkGeometry, TransmitterConfig
+from .propagation import LinkGeometry, Record, TransmitterConfig
 
 
 class ScenarioError(ValueError):
@@ -49,8 +47,7 @@ class ScenarioValidationError(ScenarioError):
         super().__init__("invalid scenario: " + "; ".join(problems))
 
 
-@dataclass(frozen=True)
-class SweepRange:
+class SweepRange(Record):
     """Inclusive sweep bounds and the number of uniform samples."""
 
     min: float
@@ -58,8 +55,7 @@ class SweepRange:
     steps: int = DEFAULT_NUM_STEPS
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A fully validated, fully defaulted simulation configuration."""
 
     transmitter: TransmitterConfig
@@ -78,7 +74,7 @@ class Scenario:
 
 def default_scenario_path() -> Path:
     """Path of the bundled default scenario (20 W at linear gain 50, 900 MHz)."""
-    return Path(str(resources.files("balloonlink") / "data" / "default_scenario.json"))
+    return Path(__file__).with_name("data") / "default_scenario.json"
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -112,7 +108,7 @@ _LIMIT_FROM_FREQ = "freq_mhz/200 (clamped to [{:g}, {:g}] W/m^2)".format(
     *(default_thresholds(freq).limit_w_m2 for freq in ZONE_LIMIT_BAND_MHZ)
 )
 
-# (key, default, bounds) per section; each key names the dataclass field it fills.
+# (key, default, bounds) per section; each key names the record field it fills.
 _FIELDS = {
     "transmitter": (
         ("power_w", _REQUIRED, _POSITIVE),
@@ -142,7 +138,7 @@ _PROFILE_DEFAULTS = {
     SourceKind.SOLAR: solar_profile(),
     SourceKind.GRID: grid_profile(0.0),
 }
-_PROFILE_KEYS = tuple(field.name for field in fields(PowerSourceProfile))  # source_kind first
+_PROFILE_KEYS = PowerSourceProfile._fields  # source_kind first
 
 # sweeps.<name>: (default min, default max, bounds on min), in meters.
 _SWEEPS = {

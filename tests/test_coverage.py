@@ -1,8 +1,10 @@
 """Unit tests for cell sizing and constellation layout."""
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,6 +220,19 @@ class TestUnionArea:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout == "False\n"
+
+    def test_cli_import_leaves_dataclasses_and_inspect_unloaded(self):
+        # -S keeps site hooks out, so only the package's own imports count
+        code = (
+            "import sys, balloonlink.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cov.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
 
 
 class TestReplacementCount:

@@ -1,10 +1,14 @@
 """Unit tests for the closed-form link physics."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from balloonlink import coverage as cov
+from balloonlink import emissions as em
+from balloonlink import exposure as exp
 from balloonlink import propagation as prop
 
 
@@ -387,6 +391,56 @@ _FINITE_GUARDED = {
             rx_gain_db=0.0,
         ),
     ),
+    "near_field_distance": (prop.near_field_distance, dict(antenna_dim_m=1.0, freq_mhz=900.0)),
+    "hata_correction_small_city": (
+        prop.hata_correction_small_city,
+        dict(freq_mhz=900.0, rx_antenna_height_m=1.5),
+    ),
+    "hata_path_loss": (
+        prop.hata_path_loss,
+        dict(freq_mhz=900.0, bs_antenna_height_m=200.0, rx_antenna_height_m=1.5, distance_km=1.0),
+    ),
+    "hata_slope_db_per_decade": (prop.hata_slope_db_per_decade, dict(bs_antenna_height_m=200.0)),
+    "TransmitterConfig": (
+        prop.TransmitterConfig,
+        dict(power_w=20.0, gain_db=17.0, freq_mhz=900.0, antenna_dim_m=1.0, gain_linear=50.0),
+    ),
+    "LinkBudgetResult": (
+        prop.LinkBudgetResult,
+        dict(
+            path_loss_db=100.0,
+            power_density_w_m2=1.0,
+            e_field_v_m=math.sqrt(120.0 * math.pi),
+            received_power_w=1e-9,
+            range_m=10.0,
+        ),
+    ),
+    "cell_radius_from_budget": (
+        cov.cell_radius_from_budget,
+        dict(
+            freq_mhz=900.0,
+            bs_antenna_height_m=200.0,
+            rx_antenna_height_m=1.5,
+            max_path_loss_db=140.0,
+        ),
+    ),
+    "cell_area_km2": (cov.cell_area_km2, dict(radius_km=1.0)),
+    "PowerSourceProfile": (
+        functools.partial(em.PowerSourceProfile, em.SourceKind.DIESEL),
+        dict(
+            fuel_liters_per_hour=2.0,
+            emission_factor_kg_per_liter=2.68,
+            grid_kwh_per_hour=0.0,
+            grid_emission_kg_per_kwh=0.0,
+        ),
+    ),
+    "diesel_profile": (em.diesel_profile, dict(liters_per_hour=2.0, kg_co2_per_liter=2.68)),
+    "annual_emissions_tons": (
+        functools.partial(em.annual_emissions_tons, em.diesel_profile()),
+        dict(hours_per_year=8760.0),
+    ),
+    "ZoneThresholds": (exp.ZoneThresholds, dict(limit_w_m2=4.5, caution_fraction=0.1)),
+    "default_thresholds": (exp.default_thresholds, dict(freq_mhz=900.0)),
 }
 
 
@@ -399,3 +453,78 @@ def test_non_finite_argument_rejected(name, argument, value):
     function(**kwargs)
     with pytest.raises(ValueError):
         function(**{**kwargs, argument: value})
+
+
+class TestRecord:
+    """The frozen value-class base every record of the package derives from."""
+
+    def test_positional_and_keyword_construction_with_defaults(self):
+        tx = prop.TransmitterConfig(20.0, 10.0, freq_mhz=800.0)
+        assert (tx.power_w, tx.gain_db, tx.freq_mhz) == (20.0, 10.0, 800.0)
+        assert (tx.antenna_dim_m, tx.gain_linear) == (1.0, None)
+        assert prop.TransmitterConfig(power_w=20.0) == prop.TransmitterConfig(20.0)
+        assert exp.SweepSeries("x", "r").points == ()
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            ((20.0,), dict(bogus=1.0)),
+            ((20.0,), dict(power_w=1.0)),
+            ((), dict(gain_db=17.0)),
+            ((20.0, 17.0, 900.0, 1.0, None, 0.0), {}),
+        ],
+        ids=["unknown", "repeated", "missing", "extra"],
+    )
+    def test_bad_arguments_are_type_errors(self, args, kwargs):
+        with pytest.raises(TypeError):
+            prop.TransmitterConfig(*args, **kwargs)
+
+    def test_post_init_validates(self):
+        with pytest.raises(ValueError, match="power_w"):
+            prop.TransmitterConfig(-1.0)
+
+    def test_frozen(self):
+        tx = prop.TransmitterConfig(20.0)
+        with pytest.raises(AttributeError):
+            tx.power_w = 1.0
+        with pytest.raises(AttributeError):
+            tx.extra = 1.0
+        with pytest.raises(AttributeError):
+            del tx.power_w
+        assert tx.power_w == 20.0
+
+    def test_equality_and_hash_agree(self):
+        a, b = prop.TransmitterConfig(20.0), prop.TransmitterConfig(20.0, 17.0)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != prop.TransmitterConfig(21.0)
+
+    def test_other_class_with_equal_values_is_unequal(self):
+        class Left(prop.Record):
+            x: float
+
+        class Right(prop.Record):
+            x: float
+
+        assert Left(1.0) == Left(1.0)
+        assert Left(1.0) != Right(1.0)
+        assert Left(1.0) != (1.0,)
+
+    def test_repr_is_dataclass_style(self):
+        assert repr(prop.TransmitterConfig(20.0)) == (
+            "TransmitterConfig(power_w=20.0, gain_db=17.0, freq_mhz=900.0, "
+            "antenna_dim_m=1.0, gain_linear=None)"
+        )
+
+    def test_fields_keep_the_linkbudget_row_order(self):
+        assert prop.LinkBudgetResult._fields == (
+            "path_loss_db",
+            "power_density_w_m2",
+            "e_field_v_m",
+            "received_power_w",
+            "range_m",
+        )
+
+    def test_class_level_defaults_stay_readable(self):
+        assert prop.TransmitterConfig.gain_db == 17.0
+        assert prop.LinkGeometry.altitude_m == 150.0
+        assert exp.ZoneThresholds.caution_fraction == exp.DEFAULT_CAUTION_FRACTION
