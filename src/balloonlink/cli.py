@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 from . import __version__
 from .coverage import MAX_BALLOONS, cell_radius_from_budget, constellation_layout, union_area_km2
@@ -26,7 +26,7 @@ from .exposure import (
     received_power_profile,
     table_one,
 )
-from .propagation import hata_validity_warnings, link_budget, power_density, slant_range
+from .propagation import Record, hata_validity_warnings, link_budget, power_density, slant_range
 from .scenario import DEFAULTS_HELP, Scenario, default_scenario_path, load_scenario
 
 EXIT_OK = 0
@@ -177,7 +177,7 @@ def _linkbudget(s: Scenario, args: argparse.Namespace):
     yield None, lines
 
 
-class Product(NamedTuple):
+class Product(Record):
     """One subcommand: renderer, help text and its own flags."""
 
     # yields (file name, or None for stdout; lines without the scenario notes)

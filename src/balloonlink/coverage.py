@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .propagation import Record, hata_correction_small_city, hata_slope_db_per_decade
+from .propagation import POSITIVE, Record, hata_correction_small_city, hata_slope_db_per_decade
 
 # Largest constellation laid out. Layout and adjacency are linear in the
 # count; the cap bounds the size of coverage.csv, one line per platform.
@@ -37,9 +37,9 @@ class Constellation(Record):
     radius_km: float
     sites: tuple[tuple[int, int], ...]
 
+    _bounds = {"radius_km": POSITIVE}
+
     def __post_init__(self) -> None:
-        if not 0.0 < self.radius_km < math.inf:
-            raise ValueError("radius_km must be finite and > 0")
         if len(self.sites) < 1:
             raise ValueError("constellation needs at least one site")
         for site in self.sites:

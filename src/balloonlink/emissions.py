@@ -12,7 +12,7 @@ import enum
 import math
 
 from .coverage import replacement_count
-from .propagation import Record
+from .propagation import NON_NEGATIVE, Record
 
 HOURS_PER_YEAR = 8760.0
 
@@ -41,16 +41,16 @@ class PowerSourceProfile(Record):
     grid_kwh_per_hour: float = 0.0
     grid_emission_kg_per_kwh: float = 0.0
 
+    # the emission-bearing fields
+    _bounds = {
+        "fuel_liters_per_hour": NON_NEGATIVE,
+        "emission_factor_kg_per_liter": NON_NEGATIVE,
+        "grid_kwh_per_hour": NON_NEGATIVE,
+        "grid_emission_kg_per_kwh": NON_NEGATIVE,
+    }
+
     def __post_init__(self) -> None:
-        for name in self._fields[1:]:
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
-        if self.source_kind is SourceKind.SOLAR and (
-            self.fuel_liters_per_hour != 0.0
-            or self.emission_factor_kg_per_liter != 0.0
-            or self.grid_kwh_per_hour != 0.0
-            or self.grid_emission_kg_per_kwh != 0.0
-        ):
+        if self.source_kind is SourceKind.SOLAR and any(getattr(self, key) for key in self._bounds):
             raise ValueError("a SOLAR profile must have all emission fields at 0")
 
     def summary(self) -> str:
@@ -101,6 +101,13 @@ class GreenComparison(Record):
     balloon_annual_tons: float
     avoided_tons: float
     replaced_bs_count: int
+
+    # avoided_tons is negative when the platform emits more than the fleet
+    _bounds = {
+        "terrestrial_annual_tons": NON_NEGATIVE,
+        "balloon_annual_tons": NON_NEGATIVE,
+        "avoided_tons": (),
+    }
 
 
 def annual_emissions_tons(

@@ -13,6 +13,7 @@ import enum
 import math
 
 from .propagation import (
+    POSITIVE,
     Record,
     TransmitterConfig,
     db_to_linear,
@@ -45,11 +46,7 @@ class ZoneThresholds(Record):
     limit_w_m2: float
     caution_fraction: float = DEFAULT_CAUTION_FRACTION
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.limit_w_m2 < math.inf:
-            raise ValueError("limit_w_m2 must be finite and > 0")
-        if not 0.0 < self.caution_fraction < 1.0:
-            raise ValueError("caution_fraction must be in (0, 1)")
+    _bounds = {"limit_w_m2": POSITIVE, "caution_fraction": ((">", 0.0), ("<", 1.0))}
 
 
 def default_thresholds(freq_mhz: float) -> ZoneThresholds:
@@ -82,11 +79,11 @@ class SweepSeries(Record):
     points: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        abscissas = [p[0] for p in self.points]
-        if any(b <= a for a, b in zip(abscissas, abscissas[1:])):
-            raise ValueError("abscissas must be strictly increasing")
-        if any(p[1] < 0.0 for p in self.points):
-            raise ValueError("series values must be >= 0")
+        previous = -math.inf
+        for x, y in self.points:
+            if not (previous < x < math.inf and 0.0 <= y < math.inf):
+                raise ValueError(f"{self.label}: point {(x, y)} is out of order, not finite or < 0")
+            previous = x
 
     def abscissas(self) -> tuple[float, ...]:
         return tuple(p[0] for p in self.points)
@@ -127,7 +124,11 @@ def table_one(
     if not distances_m:
         raise ValueError("distances_m must not be empty")
     gain = tx.linear_gain()
-    return tuple((r, power_density(tx.power_w, gain, r)) for r in distances_m)
+    rows = tuple((r, power_density(tx.power_w, gain, r)) for r in distances_m)
+    for r, density in rows:
+        if not density < math.inf:
+            raise ValueError(f"power density at distance_m={r:g} is beyond float range")
+    return rows
 
 
 def ground_density_profile(

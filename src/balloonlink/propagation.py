@@ -10,6 +10,8 @@ pure, so callers may evaluate concurrently without locking.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -24,10 +26,14 @@ HATA_DISTANCE_RANGE_KM = (1.0, 20.0)
 
 
 def db_to_linear(value_db: float) -> float:
-    """Convert a decibel power ratio to linear: 10^(dB/10)."""
-    if not math.isfinite(value_db):
-        raise ValueError("dB value must be finite")
-    return 10.0 ** (value_db / 10.0)
+    """Convert a decibel power ratio to linear: 10^(dB/10), finite and > 0."""
+    try:
+        ratio = 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:  # also a NaN or infinite value_db
+        raise ValueError(f"value_db={value_db:g} is out of range: 10^(dB/10) is not a float > 0")
+    return ratio
 
 
 def linear_to_db(ratio: float) -> float:
@@ -185,17 +191,42 @@ def received_power(
     )
 
 
+# A field's bounds are (operator, limit) pairs, checked in order after the
+# value is found finite; an optional third element is a reason, appended to
+# the message. An int limit also requires an integer value.
+_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le, "==": operator.eq}
+POSITIVE = ((">", 0.0),)
+NON_NEGATIVE = ((">=", 0.0),)
+
+
+def bound_problem(name: str, value, bounds) -> str | None:
+    """What is wrong with the number value under bounds, or None if nothing is."""
+    if not abs(value) <= sys.float_info.max:  # also an int too large for a float
+        return f"{name} must be finite"
+    for op, limit, *reason in bounds:
+        integer = type(limit) is int
+        if not _OPS[op](value, limit) or (integer and value != int(value)):
+            rule = f"{limit:g}" if op == "==" else f"{op} {limit:g}"
+            kind = "an integer " if integer else ""
+            return f"{name} must be {kind}{rule}" + "".join(f" ({r})" for r in reason)
+    return None
+
+
 class Record:
     """Base of the frozen value classes.
 
     A subclass's fields are its own annotations, in order, and a class
     attribute of a field's name is its default. Record gives the subclass an
-    __init__ taking fields by position or keyword and then calling
-    __post_init__, plus ==, hash and repr over the field values; assigning
-    or deleting an attribute raises AttributeError.
+    __init__ taking fields by position or keyword, checking each field named
+    in _bounds (a None value passes where None is the default) and then
+    calling __post_init__, which is left to rules over more than one field.
+    Records compare, hash and repr by their field values; assigning or
+    deleting an attribute raises AttributeError.
     """
 
     _fields: tuple[str, ...] = ()
+    # field -> bounds, in the grammar of bound_problem
+    _bounds: dict[str, tuple] = {}
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -214,6 +245,12 @@ class Record:
             raise TypeError(f"{cls.__name__} is missing the arguments {missing}")
         for key in cls._fields:
             object.__setattr__(self, key, values[key] if key in values else getattr(cls, key))
+        for key, bounds in cls._bounds.items():
+            value = getattr(self, key)
+            if value is not None or getattr(cls, key, 0) is not None:
+                problem = bound_problem(key, value, bounds)
+                if problem:
+                    raise ValueError(problem)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -254,17 +291,14 @@ class TransmitterConfig(Record):
     antenna_dim_m: float = 1.0
     gain_linear: float | None = None
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.power_w < math.inf:
-            raise ValueError("power_w must be finite and >= 0")
-        if not math.isfinite(self.gain_db):
-            raise ValueError("gain_db must be finite")
-        if not 0.0 < self.freq_mhz < math.inf:
-            raise ValueError("freq_mhz must be finite and > 0")
-        if not 0.0 <= self.antenna_dim_m < math.inf:
-            raise ValueError("antenna_dim_m must be finite and >= 0")
-        if self.gain_linear is not None and not 0.0 < self.gain_linear < math.inf:
-            raise ValueError("gain_linear must be finite and > 0 when given")
+    # in the order the scenario's transmitter section lists them
+    _bounds = {
+        "power_w": NON_NEGATIVE,
+        "gain_db": (),
+        "gain_linear": POSITIVE,
+        "freq_mhz": POSITIVE,
+        "antenna_dim_m": NON_NEGATIVE,
+    }
 
     def linear_gain(self) -> float:
         """Effective linear transmit gain; gain_linear wins over gain_db."""
@@ -290,17 +324,13 @@ class LinkGeometry(Record):
     rx_antenna_height_m: float = 1.5
     rx_gain_db: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.altitude_m < math.inf:
-            raise ValueError("altitude_m must be finite and >= 0")
-        if not 0.0 <= self.ground_offset_m < math.inf:
-            raise ValueError("ground_offset_m must be finite and >= 0")
-        if not 0.0 < self.bs_antenna_height_m < math.inf:
-            raise ValueError("bs_antenna_height_m must be finite and > 0")
-        if not 0.0 < self.rx_antenna_height_m < math.inf:
-            raise ValueError("rx_antenna_height_m must be finite and > 0")
-        if not math.isfinite(self.rx_gain_db):
-            raise ValueError("rx_gain_db must be finite")
+    _bounds = {
+        "altitude_m": NON_NEGATIVE,
+        "ground_offset_m": NON_NEGATIVE,
+        "bs_antenna_height_m": POSITIVE,
+        "rx_antenna_height_m": POSITIVE,
+        "rx_gain_db": (),
+    }
 
     def slant_range_m(self) -> float:
         return slant_range(self.altitude_m, self.ground_offset_m)
@@ -315,25 +345,19 @@ class LinkBudgetResult(Record):
     received_power_w: float
     range_m: float
 
+    _bounds = {
+        "path_loss_db": (),
+        "power_density_w_m2": NON_NEGATIVE,
+        "e_field_v_m": NON_NEGATIVE,
+        "received_power_w": NON_NEGATIVE,
+        "range_m": POSITIVE,
+    }
+
     def __post_init__(self) -> None:
-        if not math.isfinite(self.path_loss_db):
-            raise ValueError("path_loss_db must be finite")
-        if not (0.0 <= self.power_density_w_m2 < math.inf and 0.0 <= self.received_power_w < math.inf):
-            raise ValueError("power density and received power must be finite and >= 0")
-        if not 0.0 <= self.e_field_v_m < math.inf:
-            raise ValueError("e_field_v_m must be finite and >= 0 (rms magnitude)")
-        if not 0.0 < self.range_m < math.inf:
-            raise ValueError("range_m must be finite and > 0")
         # E and P_d must agree through the free-space impedance identity.
+        # Relative tolerance 1e-12; a zero density needs a zero field.
         implied = self.e_field_v_m**2 / FREE_SPACE_IMPEDANCE_OHM
-        if self.power_density_w_m2 == 0.0:
-            consistent = implied == 0.0
-        else:
-            consistent = (
-                abs(implied - self.power_density_w_m2) / self.power_density_w_m2
-                <= 1e-12
-            )
-        if not consistent:
+        if not abs(implied - self.power_density_w_m2) <= 1e-12 * self.power_density_w_m2:
             raise ValueError("e_field_v_m inconsistent with power_density_w_m2")
 
 

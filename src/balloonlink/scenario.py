@@ -7,16 +7,15 @@ required; everything else takes documented defaults. Validation collects
 every violated field before failing, so one load attempt reports all
 problems at once.
 
-Each default and bound is stated once, in the field tables below; the
-parser, the validator and DEFAULTS_HELP (the CLI's help epilog) all read
-them.
+Each default and bound is stated once: a record field's on its record
+(its class default and _bounds), the scenario's own in the tables below.
+The parser, the validator and DEFAULTS_HELP (the CLI's help epilog) all
+read them.
 """
 
 from __future__ import annotations
 
 import json
-import operator
-import sys
 from pathlib import Path
 
 from .emissions import (
@@ -28,7 +27,7 @@ from .emissions import (
     solar_profile,
 )
 from .exposure import DEFAULT_NUM_STEPS, ZONE_LIMIT_BAND_MHZ, ZoneThresholds, default_thresholds
-from .propagation import LinkGeometry, Record, TransmitterConfig
+from .propagation import NON_NEGATIVE, POSITIVE, LinkGeometry, Record, TransmitterConfig, bound_problem
 
 
 class ScenarioError(ValueError):
@@ -54,6 +53,10 @@ class SweepRange(Record):
     max: float
     steps: int = DEFAULT_NUM_STEPS
 
+    # The cap bounds the memory of one sweep: exposure at 100001 steps runs
+    # in about 2 s at 52 MiB peak RSS.
+    _bounds = {"min": (), "max": (), "steps": ((">=", 2), ("<=", 100_001))}
+
 
 class Scenario(Record):
     """A fully validated, fully defaulted simulation configuration."""
@@ -63,13 +66,15 @@ class Scenario(Record):
     thresholds: ZoneThresholds
     green_terrestrial: PowerSourceProfile
     green_balloon: PowerSourceProfile
-    hours_per_year: float
+    hours_per_year: float = HOURS_PER_YEAR
     ground_offset_sweep: SweepRange
     altitude_sweep: SweepRange
     range_sweep: SweepRange
     table_distances_m: tuple[float, ...]
     output_dir: str
     notes: tuple[str, ...] = ()
+
+    _bounds = {"hours_per_year": POSITIVE}
 
 
 def default_scenario_path() -> Path:
@@ -94,12 +99,6 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(raw)
 
 
-# Bounds are (operator, limit) pairs, checked in order; an optional third
-# element is a reason, appended to the message.
-_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le, "==": operator.eq}
-_POSITIVE = ((">", 0.0),)
-_NON_NEGATIVE = ((">=", 0.0),)
-
 _ABSENT = object()
 _REQUIRED = object()
 # Marks the default of thresholds.limit_w_m2, default_thresholds(freq_mhz),
@@ -108,27 +107,30 @@ _LIMIT_FROM_FREQ = "freq_mhz/200 (clamped to [{:g}, {:g}] W/m^2)".format(
     *(default_thresholds(freq).limit_w_m2 for freq in ZONE_LIMIT_BAND_MHZ)
 )
 
+# Where the scenario is stricter than the records: key -> (default, bounds).
+# A scenario describes a radiating source on a platform aloft.
+_TIGHTENED = {
+    "power_w": (_REQUIRED, POSITIVE),
+    "freq_mhz": (_REQUIRED, TransmitterConfig._bounds["freq_mhz"]),
+    "altitude_m": (LinkGeometry.altitude_m, POSITIVE),
+    "limit_w_m2": (_LIMIT_FROM_FREQ, ZoneThresholds._bounds["limit_w_m2"]),
+}
+
+
+def _rows(record: type[Record], defaults=None) -> tuple:
+    """(key, default, bounds) for each field of record._bounds, in its order."""
+    return tuple(
+        (key, *_TIGHTENED.get(key, (getattr(defaults or record, key, _REQUIRED), bounds)))
+        for key, bounds in record._bounds.items()
+    )
+
+
 # (key, default, bounds) per section; each key names the record field it fills.
 _FIELDS = {
-    "transmitter": (
-        ("power_w", _REQUIRED, _POSITIVE),
-        ("gain_db", TransmitterConfig.gain_db, ()),
-        ("gain_linear", None, _POSITIVE),
-        ("freq_mhz", _REQUIRED, _POSITIVE),
-        ("antenna_dim_m", TransmitterConfig.antenna_dim_m, _NON_NEGATIVE),
-    ),
-    "geometry": (
-        ("altitude_m", LinkGeometry.altitude_m, _POSITIVE),
-        ("ground_offset_m", LinkGeometry.ground_offset_m, _NON_NEGATIVE),
-        ("bs_antenna_height_m", LinkGeometry.bs_antenna_height_m, _POSITIVE),
-        ("rx_antenna_height_m", LinkGeometry.rx_antenna_height_m, _POSITIVE),
-        ("rx_gain_db", LinkGeometry.rx_gain_db, ()),
-    ),
-    "thresholds": (
-        ("limit_w_m2", _LIMIT_FROM_FREQ, _POSITIVE),
-        ("caution_fraction", ZoneThresholds.caution_fraction, ((">", 0.0), ("<", 1.0))),
-    ),
-    "green": (("hours_per_year", HOURS_PER_YEAR, _POSITIVE),),
+    "transmitter": _rows(TransmitterConfig),
+    "geometry": _rows(LinkGeometry),
+    "thresholds": _rows(ZoneThresholds),
+    "green": _rows(Scenario),
 }
 
 # green.<name> is a power profile of this default source kind.
@@ -138,21 +140,18 @@ _PROFILE_DEFAULTS = {
     SourceKind.SOLAR: solar_profile(),
     SourceKind.GRID: grid_profile(0.0),
 }
-_PROFILE_KEYS = PowerSourceProfile._fields  # source_kind first
 
 # sweeps.<name>: (default min, default max, bounds on min), in meters.
 _SWEEPS = {
     "ground_offset": (
         0.0,
         25.0,
-        _NON_NEGATIVE + (("==", 0.0, "profile starts under the platform"),),
+        NON_NEGATIVE + (("==", 0.0, "profile starts under the platform"),),
     ),
-    "altitude": (200.0, 400.0, _POSITIVE),
-    "range": (10.0, 500.0, _POSITIVE),
+    "altitude": (200.0, 400.0, POSITIVE),
+    "range": (10.0, 500.0, POSITIVE),
 }
-# An int default makes a field integer-valued. The cap bounds the memory of
-# one sweep: exposure at 100001 steps runs in about 2 s at 52 MiB peak RSS.
-_STEPS = ("steps", DEFAULT_NUM_STEPS, ((">=", 2), ("<=", 100_001)))
+_STEPS = ("steps", SweepRange.steps, SweepRange._bounds["steps"])
 _DISTANCES_M = (10.0, 100.0, 500.0)
 
 
@@ -208,7 +207,7 @@ def _number(value, qualified: str, default, bounds, problems: list[str]):
     """value as a number, or default when value is _ABSENT.
 
     Returns None after appending a problem when value is not a finite
-    number inside its bounds.
+    number inside its bounds. An int default makes the value an int.
     """
     if value is _ABSENT:
         if default is _REQUIRED:
@@ -218,17 +217,11 @@ def _number(value, qualified: str, default, bounds, problems: list[str]):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         problems.append(f"{qualified} must be a number")
         return None
-    if not abs(value) <= sys.float_info.max:  # also an int too large for a float
-        problems.append(f"{qualified} must be finite")
+    problem = bound_problem(qualified, value, bounds)
+    if problem:
+        problems.append(problem)
         return None
-    integer = type(default) is int
-    for op, limit, *reason in bounds:
-        if not _OPS[op](value, limit) or (integer and value != int(value)):
-            rule = f"{limit:g}" if op == "==" else f"{op} {limit:g}"
-            kind = "an integer " if integer else ""
-            problems.append(f"{qualified} must be {kind}{rule}" + "".join(f" ({r})" for r in reason))
-            return None
-    return int(value) if integer else float(value)
+    return int(value) if type(default) is int else float(value)
 
 
 def _numbers(section: dict, qualified: str, rows, problems: list[str]) -> dict:
@@ -239,15 +232,14 @@ def _numbers(section: dict, qualified: str, rows, problems: list[str]) -> dict:
 
 
 def _profile(value, qualified: str, default_kind: SourceKind, problems: list[str]):
-    section = _object(value, qualified, _PROFILE_KEYS, problems)
+    section = _object(value, qualified, PowerSourceProfile._fields, problems)
     kind = section.get("source_kind", default_kind.value)
     if not (isinstance(kind, str) and kind.upper() in SourceKind.__members__):
         problems.append(f"{qualified}.source_kind must be one of DIESEL, SOLAR, GRID")
         return None
     defaults = _PROFILE_DEFAULTS[SourceKind[kind.upper()]]
-    rows = [(key, getattr(defaults, key), _NON_NEGATIVE) for key in _PROFILE_KEYS[1:]]
     before = len(problems)
-    numbers = _numbers(section, qualified, rows, problems)
+    numbers = _numbers(section, qualified, _rows(PowerSourceProfile, defaults), problems)
     if len(problems) > before:
         return None
     try:
@@ -258,7 +250,7 @@ def _profile(value, qualified: str, default_kind: SourceKind, problems: list[str
 
 
 def _sweep_range(value, qualified: str, lo, hi, lo_bounds, problems: list[str]):
-    rows = (("min", lo, lo_bounds), ("max", hi, ()), _STEPS)
+    rows = (("min", lo, lo_bounds), ("max", hi, SweepRange._bounds["max"]), _STEPS)
     section = _object(value, qualified, {key for key, _, _ in rows}, problems)
     before = len(problems)
     numbers = _numbers(section, qualified, rows, problems)
@@ -304,7 +296,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     elif not distances:
         problems.append("sweeps.distances_m must not be empty")
     table_distances = tuple(
-        _number(value, f"sweeps.distances_m[{i}]", None, _POSITIVE, problems)
+        _number(value, f"sweeps.distances_m[{i}]", None, POSITIVE, problems)
         for i, value in enumerate(distances)
     )
 

@@ -352,6 +352,72 @@ class TestExitCodes:
             run_cli()
         assert excinfo.value.code == 1
 
+    @pytest.mark.parametrize(
+        "command, transmitter, geometry, parameter",
+        [
+            (("table1",), {"gain_db": 1e308}, {}, "value_db=1e+308"),
+            (("linkbudget",), {}, {"rx_gain_db": 5000}, "value_db=5000"),
+            (("exposure", "--figure", "fig8"), {}, {"rx_gain_db": 5000}, "value_db=5000"),
+            (("table1",), {"gain_db": -4000}, {}, "value_db=-4000"),
+        ],
+        ids=["gain-overflow", "rx-gain-linkbudget", "rx-gain-fig8", "gain-underflow"],
+    )
+    def test_db_out_of_float_range_names_value_db(
+        self, run_cli, write_scenario, tmp_path, capsys, command, transmitter, geometry, parameter
+    ):
+        payload = {
+            "transmitter": {"power_w": 20.0, "freq_mhz": 900.0, **transmitter},
+            "geometry": geometry,
+        }
+        out = tmp_path / "out"
+        argv = (*command, "--scenario", str(write_scenario(payload)), "--out", str(out))
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {parameter} is out of range")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, payload, written",
+        [
+            (
+                ("green",),
+                {
+                    "transmitter": {"power_w": 20.0, "freq_mhz": 900.0},
+                    "green": {
+                        "terrestrial": {
+                            "source_kind": "GRID",
+                            "grid_kwh_per_hour": 1.5e308,
+                            "grid_emission_kg_per_kwh": 2,
+                        }
+                    },
+                },
+                "green.csv",
+            ),
+            (
+                ("table1",),
+                {"transmitter": {"power_w": 1e308, "gain_linear": 1e10, "freq_mhz": 900.0}},
+                "table1.csv",
+            ),
+            (
+                ("exposure", "--figure", "fig7"),
+                {"transmitter": {"power_w": 1e308, "gain_linear": 1e10, "freq_mhz": 900.0}},
+                "fig7.csv",
+            ),
+        ],
+        ids=["green", "table1", "fig7"],
+    )
+    def test_infinite_result_is_validation_error(
+        self, run_cli, write_scenario, tmp_path, capsys, command, payload, written
+    ):
+        out = tmp_path / "out"
+        argv = (*command, "--scenario", str(write_scenario(payload)), "--out", str(out))
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert not (out / written).exists()
+
     def test_help_exits_zero(self, run_cli):
         with pytest.raises(SystemExit) as excinfo:
             run_cli("--help")

@@ -225,7 +225,7 @@ class TestUnionArea:
         # -S keeps site hooks out, so only the package's own imports count
         code = (
             "import sys, balloonlink.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & sys.modules.keys()))"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(cov.__file__).parents[1])}
         result = subprocess.run(

@@ -157,6 +157,15 @@ class TestSweepSeriesInvariants:
         with pytest.raises(ValueError):
             exp.SweepSeries(label="x", abscissa_name="r", points=((0.0, -1.0),))
 
+    @pytest.mark.parametrize(
+        "points",
+        [((0.0, math.nan),), ((math.nan, 1.0), (0.0, 1.0)), ((0.0, math.inf),)],
+        ids=["nan-value", "nan-abscissa", "inf-value"],
+    )
+    def test_non_finite_points_rejected(self, points):
+        with pytest.raises(ValueError, match="^x: point"):
+            exp.SweepSeries("x", "r", points)
+
 
 class TestZones:
     THRESHOLDS = exp.ZoneThresholds(limit_w_m2=4.5, caution_fraction=0.1)

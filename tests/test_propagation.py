@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from balloonlink import cli
 from balloonlink import coverage as cov
 from balloonlink import emissions as em
 from balloonlink import exposure as exp
 from balloonlink import propagation as prop
+from balloonlink import scenario as scen
 
 
 class TestDbConversions:
@@ -26,6 +28,12 @@ class TestDbConversions:
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError):
                 prop.db_to_linear(bad)
+
+    @pytest.mark.parametrize("value_db", [1e308, 5000.0, -4000.0], ids=["1e308", "5000", "-4000"])
+    def test_ratio_out_of_float_range_names_value_db(self, value_db):
+        with pytest.raises(ValueError) as excinfo:
+            prop.db_to_linear(value_db)
+        assert str(excinfo.value).startswith(f"value_db={value_db:g} is out of range")
 
     def test_linear_to_db_rejects_non_positive(self):
         with pytest.raises(ValueError):
@@ -441,6 +449,11 @@ _FINITE_GUARDED = {
     ),
     "ZoneThresholds": (exp.ZoneThresholds, dict(limit_w_m2=4.5, caution_fraction=0.1)),
     "default_thresholds": (exp.default_thresholds, dict(freq_mhz=900.0)),
+    "SweepRange": (scen.SweepRange, dict(min=0.0, max=25.0, steps=101)),
+    "GreenComparison": (
+        functools.partial(em.GreenComparison, replaced_bs_count=100),
+        dict(terrestrial_annual_tons=4695.36, balloon_annual_tons=0.0, avoided_tons=4695.36),
+    ),
 }
 
 
@@ -482,6 +495,38 @@ class TestRecord:
     def test_post_init_validates(self):
         with pytest.raises(ValueError, match="power_w"):
             prop.TransmitterConfig(-1.0)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: prop.TransmitterConfig(power_w=-1.0), "power_w must be >= 0"),
+            (lambda: prop.TransmitterConfig(power_w=math.nan), "power_w must be finite"),
+            (lambda: prop.TransmitterConfig(20.0, gain_linear=0.0), "gain_linear must be > 0"),
+            (lambda: exp.ZoneThresholds(4.5, 1.0), "caution_fraction must be < 1"),
+            (lambda: scen.SweepRange(0.0, 1.0, steps=2.5), "steps must be an integer >= 2"),
+            (lambda: scen.SweepRange(0.0, 1.0, 100_002), "steps must be an integer <= 100001"),
+        ],
+        ids=["negative", "nan", "zero-gain", "caution-1", "fractional-steps", "steps-cap"],
+    )
+    def test_bounds_give_one_message_per_field(self, build, message):
+        with pytest.raises(ValueError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+
+    def test_none_passes_only_where_it_is_the_default(self):
+        assert prop.TransmitterConfig(20.0, gain_linear=None).gain_linear is None
+        with pytest.raises(TypeError):
+            prop.TransmitterConfig(None)
+
+    def test_bounds_name_own_fields(self):
+        records, pending = [], [prop.Record]
+        while pending:
+            subclasses = pending.pop().__subclasses__()
+            records += subclasses
+            pending += subclasses
+        assert cli.Product in records and scen.SweepRange in records
+        for record in records:
+            assert set(record._bounds) <= set(record._fields), record.__name__
 
     def test_frozen(self):
         tx = prop.TransmitterConfig(20.0)

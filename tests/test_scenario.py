@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from balloonlink import scenario as scen
-from balloonlink.emissions import SourceKind
+from balloonlink.emissions import PowerSourceProfile, SourceKind
+from balloonlink.exposure import ZoneThresholds
+from balloonlink.propagation import LinkGeometry, TransmitterConfig
 
 MINIMAL = {"transmitter": {"power_w": 20.0, "gain_db": 17.0, "freq_mhz": 900.0}}
 
@@ -57,6 +59,43 @@ class TestDefaults:
         assert loaded.transmitter.linear_gain() == 50.0
         assert loaded.geometry.altitude_m == 150.0
         assert loaded.notes  # linear override is flagged
+
+
+class TestRecordRules:
+    """The scenario reads each record field's default and bounds from the record."""
+
+    SECTIONS = {
+        "transmitter": TransmitterConfig,
+        "geometry": LinkGeometry,
+        "thresholds": ZoneThresholds,
+        "green": scen.Scenario,
+    }
+
+    def test_only_the_tightening_table_departs_from_the_records(self):
+        assert set(scen._TIGHTENED) == {"power_w", "freq_mhz", "altitude_m", "limit_w_m2"}
+        assert scen._FIELDS.keys() == self.SECTIONS.keys()
+        # (record, where its defaults come from, scenario row)
+        rows = [(r, r, row) for name, r in self.SECTIONS.items() for row in scen._FIELDS[name]]
+        for profile in scen._PROFILE_DEFAULTS.values():
+            profile_rows = scen._rows(PowerSourceProfile, profile)
+            rows += [(PowerSourceProfile, profile, row) for row in profile_rows]
+        rows.append((scen.SweepRange, scen.SweepRange, scen._STEPS))
+        for record, defaults, (key, default, bounds) in rows:
+            assert key in record._fields
+            if key not in scen._TIGHTENED:
+                assert bounds is record._bounds[key], key
+                assert default == getattr(defaults, key, None), key
+
+    def test_tightenings_hold(self, write_scenario):
+        payload = {"transmitter": {"power_w": 0, "freq_mhz": 900}, "geometry": {"altitude_m": 0}}
+        with pytest.raises(scen.ScenarioValidationError) as excinfo:
+            scen.load_scenario(write_scenario(payload))
+        assert excinfo.value.problems == (
+            "transmitter.power_w must be > 0",
+            "geometry.altitude_m must be > 0",
+        )
+        # the records themselves take a zero power and altitude
+        assert TransmitterConfig(0.0).power_w == LinkGeometry(altitude_m=0.0).altitude_m == 0.0
 
 
 class TestGainHandling:
