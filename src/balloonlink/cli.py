@@ -55,6 +55,10 @@ def _comma_floats(text: str) -> list[float]:
 
 # The figure builders and renderers name the layer functions in their
 # bodies, so a module global rebound at run time (a tracer) sees each call.
+# A sweep calls the public propagation scalars only for the checks at the
+# two ends of its axis and evaluates every point through a private kernel,
+# so a tracer that rebinds exposure's globals sees those two calls per
+# series, not one per point.
 
 def _ground_profile(altitude_m: float):
     return lambda s: ground_density_profile(
@@ -108,7 +112,8 @@ def _exposure(s: Scenario, args: argparse.Namespace):
         series = build(s)
         lines = [*extra, f"# series: {series.label}; abscissa: {series.abscissa_name}"]
         lines.append("abscissa,value,unit")
-        lines.extend(f"{fmt(x)},{fmt(v)},{unit}" for x, v in series.points)
+        # one format call per row, each field as fmt prints it
+        lines.extend([f"{x:.5e},{v:.5e},{unit}" for x, v in series.points])
         yield f"{figure}.csv", lines
 
 

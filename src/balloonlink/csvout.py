@@ -12,8 +12,8 @@ from pathlib import Path
 
 
 def fmt(value: float) -> str:
-    """Format a float as lowercase scientific with 6 significant digits."""
-    return format(float(value), ".5e")
+    """Format a float (or an int) as lowercase scientific with 6 significant digits."""
+    return format(value, ".5e")
 
 
 def render(lines: list[str]) -> str:

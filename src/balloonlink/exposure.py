@@ -16,11 +16,15 @@ from .propagation import (
     POSITIVE,
     Record,
     TransmitterConfig,
+    _e_field_rms,
+    _power_density,
+    _received_power,
     db_to_linear,
     e_field_rms,
     power_density,
     received_power,
     slant_range,
+    wavelength_m,
 )
 
 DEFAULT_NUM_STEPS = 101
@@ -102,9 +106,17 @@ def _sample_axis(lo: float, hi: float, num_steps: int) -> list[float]:
     return xs
 
 
-def _sweep(label: str, abscissa_name: str, xs, value) -> SweepSeries:
-    """The series of (x, value(x)) over the abscissas xs."""
-    return SweepSeries(label, abscissa_name, tuple((x, value(x)) for x in xs))
+def _sweep(label: str, abscissa_name: str, xs, single_point, values) -> SweepSeries:
+    """The series of (x, value) over the ascending abscissas xs.
+
+    single_point(x), the checked public call, runs at both ends first; then
+    values() evaluates every x through the unchecked kernel that call ends
+    in. Every profile is monotone in x, so finite values at both ends prove
+    each value between them finite.
+    """
+    single_point(xs[0])
+    single_point(xs[-1])
+    return SweepSeries(label, abscissa_name, tuple(zip(xs, values())))
 
 
 def _check_range(axis: str, lo: float, hi: float) -> None:
@@ -124,11 +136,7 @@ def table_one(
     if not distances_m:
         raise ValueError("distances_m must not be empty")
     gain = tx.linear_gain()
-    rows = tuple((r, power_density(tx.power_w, gain, r)) for r in distances_m)
-    for r, density in rows:
-        if not density < math.inf:
-            raise ValueError(f"power density at distance_m={r:g} is beyond float range")
-    return rows
+    return tuple((r, power_density(tx.power_w, gain, r)) for r in distances_m)
 
 
 def ground_density_profile(
@@ -146,13 +154,14 @@ def ground_density_profile(
     if altitude_m <= 0.0:
         raise ValueError("altitude_m must be > 0")
     _check_non_negative("offset_max_m", offset_max_m)
-    gain = tx.linear_gain()
+    power, gain = tx.power_w, tx.linear_gain()
     offsets = [0.0] if offset_max_m == 0.0 else _sample_axis(0.0, offset_max_m, num_steps)
     return _sweep(
         f"ground power density, platform at {altitude_m:g} m",
         "ground_offset_m",
         offsets,
-        lambda d: power_density(tx.power_w, gain, slant_range(altitude_m, d)),
+        lambda d: power_density(power, gain, slant_range(altitude_m, d)),
+        lambda: [_power_density(power, gain, math.hypot(altitude_m, d)) for d in offsets],
     )
 
 
@@ -166,12 +175,14 @@ def altitude_density_profile(
     """Ground-point power density as the platform altitude rises."""
     _check_range("altitude", altitude_min_m, altitude_max_m)
     _check_non_negative("ground_offset_m", ground_offset_m)
-    gain = tx.linear_gain()
+    power, gain = tx.power_w, tx.linear_gain()
+    altitudes = _sample_axis(altitude_min_m, altitude_max_m, num_steps)
     return _sweep(
         f"power density vs platform altitude, offset {ground_offset_m:g} m",
         "altitude_m",
-        _sample_axis(altitude_min_m, altitude_max_m, num_steps),
-        lambda a: power_density(tx.power_w, gain, slant_range(a, ground_offset_m)),
+        altitudes,
+        lambda a: power_density(power, gain, slant_range(a, ground_offset_m)),
+        lambda: [_power_density(power, gain, math.hypot(a, ground_offset_m)) for a in altitudes],
     )
 
 
@@ -183,12 +194,14 @@ def efield_profile(
 ) -> SweepSeries:
     """Rms E-field over a straight-line distance sweep; falls off as 1/R."""
     _check_range("range", range_min_m, range_max_m)
-    gain = tx.linear_gain()
+    power, gain = tx.power_w, tx.linear_gain()
+    ranges = _sample_axis(range_min_m, range_max_m, num_steps)
     return _sweep(
         "rms E-field vs distance",
         "range_m",
-        _sample_axis(range_min_m, range_max_m, num_steps),
-        lambda r: e_field_rms(tx.power_w, gain, r),
+        ranges,
+        lambda r: e_field_rms(power, gain, r),
+        lambda: [_e_field_rms(power, gain, r) for r in ranges],
     )
 
 
@@ -200,12 +213,14 @@ def range_density_profile(
 ) -> SweepSeries:
     """Power density over a straight-line distance sweep (1/R^2 falloff)."""
     _check_range("range", range_min_m, range_max_m)
-    gain = tx.linear_gain()
+    power, gain = tx.power_w, tx.linear_gain()
+    ranges = _sample_axis(range_min_m, range_max_m, num_steps)
     return _sweep(
         "power density vs distance",
         "range_m",
-        _sample_axis(range_min_m, range_max_m, num_steps),
-        lambda r: power_density(tx.power_w, gain, r),
+        ranges,
+        lambda r: power_density(power, gain, r),
+        lambda: [_power_density(power, gain, r) for r in ranges],
     )
 
 
@@ -221,13 +236,17 @@ def received_power_profile(
     """Received power at a ground point as the platform altitude rises."""
     _check_range("altitude", altitude_min_m, altitude_max_m)
     _check_non_negative("ground_offset_m", ground_offset_m)
-    tx_gain = tx.linear_gain()
+    power, tx_gain = tx.power_w, tx.linear_gain()
     rx_gain = db_to_linear(rx_gain_db)
+    lam = wavelength_m(freq_mhz)
+    altitudes = _sample_axis(altitude_min_m, altitude_max_m, num_steps)
     return _sweep(
         f"received power vs platform altitude, offset {ground_offset_m:g} m",
         "altitude_m",
-        _sample_axis(altitude_min_m, altitude_max_m, num_steps),
-        lambda a: received_power(
-            tx.power_w, tx_gain, rx_gain, freq_mhz, slant_range(a, ground_offset_m)
-        ),
+        altitudes,
+        lambda a: received_power(power, tx_gain, rx_gain, freq_mhz, slant_range(a, ground_offset_m)),
+        lambda: [
+            _received_power(power, tx_gain, rx_gain, lam, math.hypot(a, ground_offset_m))
+            for a in altitudes
+        ],
     )

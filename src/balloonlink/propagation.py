@@ -161,16 +161,50 @@ def _check_field_inputs(power_w: float, gain_linear: float, range_m: float) -> N
         raise ValueError("range_m must be finite and > 0")
 
 
+# The unchecked field kernels. Each public field function below checks its
+# inputs, then returns its kernel's value, so a sweep that checks its inputs
+# once can call a kernel per point and still match the single-point call bit
+# for bit.
+_FOUR_PI = 4.0 * math.pi
+
+
+def _power_density(power_w: float, gain_linear: float, range_m: float) -> float:
+    return power_w * gain_linear / (_FOUR_PI * range_m * range_m)
+
+
+def _e_field_rms(power_w: float, gain_linear: float, range_m: float) -> float:
+    return math.sqrt(30.0 * power_w * gain_linear) / range_m
+
+
+def _received_power(
+    power_w: float, tx_gain_linear: float, rx_gain_linear: float, lam: float, range_m: float
+) -> float:
+    return power_w * tx_gain_linear * rx_gain_linear * lam * lam / (_FOUR_PI * range_m) ** 2
+
+
+def _beyond_float_range(quantity: str, range_m: float) -> ValueError:
+    return ValueError(f"{quantity} at range_m={range_m:g} is beyond float range")
+
+
 def power_density(power_w: float, gain_linear: float, range_m: float) -> float:
     """Free-space power density P*G / (4*pi*R^2), in W/m^2."""
     _check_field_inputs(power_w, gain_linear, range_m)
-    return power_w * gain_linear / (4.0 * math.pi * range_m * range_m)
+    try:
+        density = _power_density(power_w, gain_linear, range_m)
+        if density < math.inf:  # also rejects NaN, an infinite P*G over an infinite R^2
+            return density
+    except ZeroDivisionError:  # R^2 underflowed to 0
+        pass
+    raise _beyond_float_range("power density", range_m)
 
 
 def e_field_rms(power_w: float, gain_linear: float, range_m: float) -> float:
     """Rms electric field sqrt(30*P*G) / R, in V/m."""
     _check_field_inputs(power_w, gain_linear, range_m)
-    return math.sqrt(30.0 * power_w * gain_linear) / range_m
+    field = _e_field_rms(power_w, gain_linear, range_m)
+    if field < math.inf:
+        return field
+    raise _beyond_float_range("rms E-field", range_m)
 
 
 def received_power(
@@ -185,10 +219,13 @@ def received_power(
     if not 0.0 < rx_gain_linear < math.inf:
         raise ValueError("rx_gain_linear must be finite and > 0")
     lam = wavelength_m(freq_mhz)
-    return (
-        power_w * tx_gain_linear * rx_gain_linear * lam * lam
-        / (4.0 * math.pi * range_m) ** 2
-    )
+    try:
+        power = _received_power(power_w, tx_gain_linear, rx_gain_linear, lam, range_m)
+        if power < math.inf:
+            return power
+    except (ZeroDivisionError, OverflowError):  # (4*pi*R)^2 left float range
+        pass
+    raise _beyond_float_range("received power", range_m)
 
 
 # A field's bounds are (operator, limit) pairs, checked in order after the

@@ -418,6 +418,25 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not (out / written).exists()
 
+    @pytest.mark.parametrize(
+        "command, sweeps, written",
+        [
+            (("table1",), {"distances_m": [1e-200]}, "table1.csv"),
+            (("exposure", "--figure", "fig7"), {"range": {"min": 1e-200, "max": 1e-190}}, "fig7.csv"),
+        ],
+        ids=["table1", "fig7"],
+    )
+    def test_underflowing_range_names_range_m(
+        self, run_cli, write_scenario, tmp_path, capsys, command, sweeps, written
+    ):
+        payload = {"transmitter": {"power_w": 20.0, "freq_mhz": 900.0}, "sweeps": sweeps}
+        out = tmp_path / "out"
+        argv = (*command, "--scenario", str(write_scenario(payload)), "--out", str(out))
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: power density at range_m=1e-200 is beyond float range\n"
+        assert not out.exists()
+
     def test_help_exits_zero(self, run_cli):
         with pytest.raises(SystemExit) as excinfo:
             run_cli("--help")

@@ -468,6 +468,25 @@ def test_non_finite_argument_rejected(name, argument, value):
         function(**{**kwargs, argument: value})
 
 
+# Finite inputs whose field leaves float range: (function, keyword overrides
+# of its _FINITE_GUARDED row).
+_BEYOND_FLOAT_RANGE = {
+    "R^2-underflows": ("power_density", dict(range_m=1e-200)),
+    "inf-over-inf": ("power_density", dict(power_w=1e308, gain_linear=1e10, range_m=1e300)),
+    "subnormal-range": ("e_field_rms", dict(range_m=1e-320)),
+    "result-overflows": ("received_power", dict(range_m=1e-160)),
+    "(4piR)^2-underflows": ("received_power", dict(range_m=1e-200)),
+    "(4piR)^2-overflows": ("received_power", dict(range_m=1e160)),
+}
+
+
+@pytest.mark.parametrize("name, overrides", _BEYOND_FLOAT_RANGE.values(), ids=_BEYOND_FLOAT_RANGE)
+def test_field_beyond_float_range_names_range_m(name, overrides):
+    function, kwargs = _FINITE_GUARDED[name]
+    with pytest.raises(ValueError, match=r"^[a-zE -]+ at range_m=\S+ is beyond float range$"):
+        function(**{**kwargs, **overrides})
+
+
 class TestRecord:
     """The frozen value-class base every record of the package derives from."""
 

@@ -215,6 +215,28 @@ class TestValidation:
             scen.load_scenario(path)
         assert excinfo.value.problems == ("sweeps.distances_m[0] must be finite",)
 
+    def test_mixed_distances_report_each_bad_index(self, tmp_path):
+        # a list that is not all positive finite floats is checked value by value
+        path = tmp_path / "scenario.json"
+        payload = json.dumps(dict(MINIMAL, sweeps={"distances_m": ["@"]}))
+        literals = '1.5, 5, true, "5", -1.0, 0, NaN, 1e400, 2.5'
+        path.write_text(payload.replace('"@"', literals), encoding="utf-8")
+        with pytest.raises(scen.ScenarioValidationError) as excinfo:
+            scen.load_scenario(path)
+        assert excinfo.value.problems == (
+            "sweeps.distances_m[2] must be a number",
+            "sweeps.distances_m[3] must be a number",
+            "sweeps.distances_m[4] must be > 0",
+            "sweeps.distances_m[5] must be > 0",
+            "sweeps.distances_m[6] must be finite",
+            "sweeps.distances_m[7] must be finite",
+        )
+
+    def test_int_distances_load_as_floats(self, write_scenario):
+        loaded = scen.load_scenario(write_scenario(dict(MINIMAL, sweeps={"distances_m": [1.5, 5, 7.0]})))
+        assert loaded.table_distances_m == (1.5, 5.0, 7.0)
+        assert [type(d) for d in loaded.table_distances_m] == [float, float, float]
+
     def test_zero_altitude_rejected(self, write_scenario):
         payload = dict(MINIMAL, geometry={"altitude_m": 0})
         with pytest.raises(scen.ScenarioValidationError) as excinfo:
