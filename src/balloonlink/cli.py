@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Callable
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -112,8 +113,13 @@ def _exposure(s: Scenario, args: argparse.Namespace):
         series = build(s)
         lines = [*extra, f"# series: {series.label}; abscissa: {series.abscissa_name}"]
         lines.append("abscissa,value,unit")
-        # one format call per row, each field as fmt prints it
-        lines.extend([f"{x:.5e},{v:.5e},{unit}" for x, v in series.points])
+        # All rows as one block: a row template repeated once per point and
+        # filled by a single % over the flattened points. '%.5e' % v is the
+        # same C conversion as fmt(v), so the bytes are fmt's; the block
+        # holds no trailing LF, because render joins the lines with LF.
+        if series.points:
+            rows = f"%.5e,%.5e,{unit}\n" * len(series.points)
+            lines.append(rows[:-1] % tuple(chain.from_iterable(series.points)))
         yield f"{figure}.csv", lines
 
 

@@ -182,8 +182,26 @@ def _received_power(
     return power_w * tx_gain_linear * rx_gain_linear * lam * lam / (_FOUR_PI * range_m) ** 2
 
 
-def _beyond_float_range(quantity: str, range_m: float) -> ValueError:
-    return ValueError(f"{quantity} at range_m={range_m:g} is beyond float range")
+def _beyond_float_range(
+    quantity: str, range_m: float, denominator: float, *factors: tuple[float, dict]
+) -> ValueError:
+    """The error for a field value beyond float range, naming the inputs to blame.
+
+    denominator is the kernel's range term (R, 4*pi*R^2 or (4*pi*R)^2),
+    recomputed so that it cannot raise. If it is 0 or inf, range_m is to
+    blame; otherwise the inputs of the first (product, {name: value})
+    factor that overflowed are, and if none did, range_m is (a finite
+    numerator over a tiny range). Only a failed call builds this error, so
+    a call that succeeds pays nothing for the diagnosis.
+    """
+    culprits = {"range_m": range_m}
+    if 0.0 < denominator < math.inf:
+        for product, inputs in factors:
+            if product == math.inf:
+                culprits = inputs
+                break
+    named = ", ".join(f"{name}={value:g}" for name, value in culprits.items())
+    return ValueError(f"{quantity} at {named} is beyond float range")
 
 
 def power_density(power_w: float, gain_linear: float, range_m: float) -> float:
@@ -195,7 +213,12 @@ def power_density(power_w: float, gain_linear: float, range_m: float) -> float:
             return density
     except ZeroDivisionError:  # R^2 underflowed to 0
         pass
-    raise _beyond_float_range("power density", range_m)
+    raise _beyond_float_range(
+        "power density",
+        range_m,
+        _FOUR_PI * range_m * range_m,
+        (power_w * gain_linear, {"power_w": power_w, "gain_linear": gain_linear}),
+    )
 
 
 def e_field_rms(power_w: float, gain_linear: float, range_m: float) -> float:
@@ -204,7 +227,12 @@ def e_field_rms(power_w: float, gain_linear: float, range_m: float) -> float:
     field = _e_field_rms(power_w, gain_linear, range_m)
     if field < math.inf:
         return field
-    raise _beyond_float_range("rms E-field", range_m)
+    raise _beyond_float_range(
+        "rms E-field",
+        range_m,
+        range_m,
+        (30.0 * power_w * gain_linear, {"power_w": power_w, "gain_linear": gain_linear}),
+    )
 
 
 def received_power(
@@ -225,7 +253,18 @@ def received_power(
             return power
     except (ZeroDivisionError, OverflowError):  # (4*pi*R)^2 left float range
         pass
-    raise _beyond_float_range("received power", range_m)
+    four_pi_r = _FOUR_PI * range_m
+    gains = power_w * tx_gain_linear * rx_gain_linear
+    inputs = {"power_w": power_w, "tx_gain_linear": tx_gain_linear, "rx_gain_linear": rx_gain_linear}
+    raise _beyond_float_range(
+        "received power",
+        range_m,
+        four_pi_r * four_pi_r,
+        (lam * lam, {"freq_mhz": freq_mhz}),
+        (gains, inputs),
+        # each factor finite, their product not
+        (gains * lam * lam, {**inputs, "freq_mhz": freq_mhz}),
+    )
 
 
 # A field's bounds are (operator, limit) pairs, checked in order after the

@@ -437,6 +437,22 @@ class TestExitCodes:
         assert err == "error: power density at range_m=1e-200 is beyond float range\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command", [("exposure", "--figure", "fig8"), ("linkbudget",)], ids=["fig8", "linkbudget"]
+    )
+    def test_overflowing_wavelength_names_freq_mhz(
+        self, run_cli, write_scenario, tmp_path, capsys, command
+    ):
+        # lambda^2 overflows at a tiny but valid frequency; the range is fine
+        payload = {"transmitter": {"power_w": 20.0, "freq_mhz": 1e-300}}
+        out = tmp_path / "out"
+        argv = (*command, "--scenario", str(write_scenario(payload)), "--out", str(out))
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: received power at freq_mhz=1e-300 is beyond float range\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_help_exits_zero(self, run_cli):
         with pytest.raises(SystemExit) as excinfo:
             run_cli("--help")

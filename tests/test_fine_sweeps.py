@@ -2,8 +2,9 @@
 
 The profiles check the two ends of an axis through the public scalars and
 evaluate every point through unchecked kernels, and the exposure CSV
-formats each row in one call. These tests hold both to the single-point
-public calls and to csvout.fmt, point by point and byte by byte.
+renders all rows of a figure with one % operation. These tests hold both
+to the single-point public calls and to csvout.fmt, point by point and
+byte by byte.
 """
 
 import json
@@ -90,13 +91,16 @@ def test_every_sampled_value_is_the_single_point_call(source, steps):
         assert [v for _, v in points] == [single_point(x) for x, _ in points], name
 
 
-def test_csv_bytes_at_10001_steps(tmp_path):
-    steps = 10001
+@pytest.mark.parametrize("steps", [2, 101, 1001, 10001])
+def test_csv_bytes(tmp_path, steps):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(_seeded_payload(8, steps)), encoding="utf-8")
     out = tmp_path / "out"
     for command in ("exposure", "table1"):
         assert cli.main([command, "--scenario", str(path), "--out", str(out)]) == 0
+    for figure in cli.FIGURE_IDS:
+        argv = ["exposure", "--figure", figure, "--scenario", str(path), "--out", str(tmp_path / figure)]
+        assert cli.main(argv) == 0
     s = scen.load_scenario(path)
     assert s.notes == ()
     axes = {
@@ -112,9 +116,24 @@ def test_csv_bytes_at_10001_steps(tmp_path):
         lines.append("abscissa,value,unit")
         single_point = single_points[figure]
         lines += [f"{fmt(x)},{fmt(single_point(x))},{unit}" for x in axes[series.abscissa_name]]
-        assert (out / f"{figure}.csv").read_bytes() == ("\n".join(lines) + "\n").encode(), figure
+        # the header lines plus one row per step, no empty line, one final LF
+        assert len(lines) == len(extra) + 2 + steps and "" not in lines
+        for directory in (out, tmp_path / figure):
+            assert (directory / f"{figure}.csv").read_bytes().decode().split("\n") == [*lines, ""]
+        assert [p.name for p in (tmp_path / figure).iterdir()] == [f"{figure}.csv"]
     gain = s.transmitter.linear_gain()
     lines = ["distance_m,power_density_w_m2"]
     lines += [f"{fmt(r)},{fmt(power_density(s.transmitter.power_w, gain, r))}" for r in s.table_distances_m]
     assert len(lines) == steps + 1
     assert (out / "table1.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_empty_series_adds_no_row(monkeypatch):
+    # the CLI never builds a series without points; a renderer given one
+    # writes the header lines alone, as a row per point would
+    empty = exp.SweepSeries("empty", "range_m")
+    monkeypatch.setitem(cli._FIGURES, "fig7", (lambda s: empty, "W/m2", ()))
+    args = cli.build_parser().parse_args(["exposure", "--figure", "fig7"])
+    (name, lines), = cli._exposure(scen.load_scenario(scen.default_scenario_path()), args)
+    assert name == "fig7.csv"
+    assert lines == ["# series: empty; abscissa: range_m", "abscissa,value,unit"]

@@ -487,6 +487,47 @@ def test_field_beyond_float_range_names_range_m(name, overrides):
         function(**{**kwargs, **overrides})
 
 
+# Finite inputs whose field leaves float range through a factor other than
+# the range: (function, keyword overrides, the inputs the error names).
+_BEYOND_FLOAT_RANGE_ELSEWHERE = {
+    "lambda^2-overflows": (
+        "received_power",
+        dict(freq_mhz=1e-300, range_m=200.0),
+        "received power at freq_mhz=1e-300",
+    ),
+    "PG-overflows": (
+        "power_density",
+        dict(power_w=1e308, gain_linear=1e10),
+        "power density at power_w=1e+308, gain_linear=1e+10",
+    ),
+    "30PG-overflows": (
+        "e_field_rms",
+        dict(power_w=1e308, gain_linear=1e10),
+        "rms E-field at power_w=1e+308, gain_linear=1e+10",
+    ),
+    "PGtGr-overflows": (
+        "received_power",
+        dict(power_w=1e308, tx_gain_linear=1e10, range_m=200.0),
+        "received power at power_w=1e+308, tx_gain_linear=1e+10, rx_gain_linear=1",
+    ),
+    "PGtGr-lambda^2-overflows": (
+        "received_power",
+        dict(power_w=1e10, freq_mhz=1e-150, range_m=200.0),
+        "received power at power_w=1e+10, tx_gain_linear=1, rx_gain_linear=1, freq_mhz=1e-150",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, overrides, named", _BEYOND_FLOAT_RANGE_ELSEWHERE.values(), ids=_BEYOND_FLOAT_RANGE_ELSEWHERE
+)
+def test_field_beyond_float_range_names_the_overflowed_input(name, overrides, named):
+    function, kwargs = _FINITE_GUARDED[name]
+    with pytest.raises(ValueError) as excinfo:
+        function(**{**kwargs, **overrides})
+    assert str(excinfo.value) == f"{named} is beyond float range"
+
+
 class TestRecord:
     """The frozen value-class base every record of the package derives from."""
 
