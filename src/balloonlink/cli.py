@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .coverage import MAX_BALLOONS, cell_radius_from_budget, constellation_layout, union_area_km2
-from .csvout import fmt, render, write_csv
+from .csvout import _FLOAT_SPEC, fmt, render, write_csv
 from .emissions import compare
 from .exposure import (
     altitude_density_profile,
@@ -114,11 +114,12 @@ def _exposure(s: Scenario, args: argparse.Namespace):
         lines = [*extra, f"# series: {series.label}; abscissa: {series.abscissa_name}"]
         lines.append("abscissa,value,unit")
         # All rows as one block: a row template repeated once per point and
-        # filled by a single % over the flattened points. '%.5e' % v is the
-        # same C conversion as fmt(v), so the bytes are fmt's; the block
-        # holds no trailing LF, because render joins the lines with LF.
+        # filled by a single % over the flattened points. A %-conversion with
+        # fmt's spec is the same C conversion as fmt(v), so the bytes are
+        # fmt's; the block holds no trailing LF, because render joins the
+        # lines with LF.
         if series.points:
-            rows = f"%.5e,%.5e,{unit}\n" * len(series.points)
+            rows = f"%{_FLOAT_SPEC},%{_FLOAT_SPEC},{unit}\n" * len(series.points)
             lines.append(rows[:-1] % tuple(chain.from_iterable(series.points)))
         yield f"{figure}.csv", lines
 

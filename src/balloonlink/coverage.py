@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .propagation import POSITIVE, Record, hata_correction_small_city, hata_slope_db_per_decade
+from .propagation import POSITIVE, Record, hata_path_loss, hata_slope_db_per_decade
 
 # Largest constellation laid out. Layout and adjacency are linear in the
 # count; the cap bounds the size of coverage.csv, one line per platform.
@@ -68,26 +68,20 @@ def cell_radius_from_budget(
 ) -> float:
     """The cell radius D (km) at which the Hata path loss equals the budget.
 
-    Closed-form inversion: log10(D) = (PL - fixed terms) / slope, with
-    slope = 44.9 - 6.55*log10(h_te). Round-trips with hata_path_loss to
+    Closed-form inversion of hata_path_loss: log10(D) = (PL - fixed) / slope,
+    where fixed is the path loss at D = 1 km (log10(1) = 0) and slope is
+    hata_slope_db_per_decade(h_te). Round-trips with hata_path_loss to
     better than 1e-9 relative.
     """
     if not math.isfinite(max_path_loss_db):
         raise ValueError("max_path_loss_db must be finite")
-    if not (0.0 < freq_mhz < math.inf and 0.0 < bs_antenna_height_m < math.inf):
-        raise ValueError("freq_mhz and bs_antenna_height_m must be finite and > 0")
     slope = hata_slope_db_per_decade(bs_antenna_height_m)
     if slope <= 0.0:
         raise ValueError(
             "path loss is not increasing in distance for "
             f"bs_antenna_height_m={bs_antenna_height_m:g}; cannot invert"
         )
-    fixed = (
-        69.55
-        + 26.16 * math.log10(freq_mhz)
-        - 13.82 * math.log10(bs_antenna_height_m)
-        - hata_correction_small_city(freq_mhz, rx_antenna_height_m)
-    )
+    fixed = hata_path_loss(freq_mhz, bs_antenna_height_m, rx_antenna_height_m, 1.0)
     exponent = (max_path_loss_db - fixed) / slope
     try:
         radius = 10.0**exponent

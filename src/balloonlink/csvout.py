@@ -10,10 +10,13 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+# The format spec of every float written: fmt's, and %-style in cli's row templates.
+_FLOAT_SPEC = ".5e"
+
 
 def fmt(value: float) -> str:
     """Format a float (or an int) as lowercase scientific with 6 significant digits."""
-    return format(value, ".5e")
+    return format(value, _FLOAT_SPEC)
 
 
 def render(lines: list[str]) -> str:

@@ -89,9 +89,6 @@ class SweepSeries(Record):
                 raise ValueError(f"{self.label}: point {(x, y)} is out of order, not finite or < 0")
             previous = x
 
-    def abscissas(self) -> tuple[float, ...]:
-        return tuple(p[0] for p in self.points)
-
     def values(self) -> tuple[float, ...]:
         return tuple(p[1] for p in self.points)
 

@@ -83,21 +83,19 @@ def hata_path_loss(
     PL = 69.55 + 26.16*log10(f) - 13.82*log10(h_te) - a(h_re)
          + (44.9 - 6.55*log10(h_te)) * log10(D)
 
-    with f in MHz, antenna heights in m and the distance D in km. The
+    with f in MHz, antenna heights in m and the distance D in km: the
+    terms fixed by f and the antenna heights (the loss at D = 1 km) plus
+    hata_slope_db_per_decade(h_te) per decade of distance. The
     formula is evaluated regardless of the empirical fitting ranges; use
     hata_validity_warnings() to check those.
     """
-    if not (0.0 < bs_antenna_height_m < math.inf and 0.0 < distance_km < math.inf):
-        raise ValueError("bs_antenna_height_m and distance_km must be finite and > 0")
+    if not 0.0 < distance_km < math.inf:
+        raise ValueError("distance_km must be finite and > 0")
     correction = hata_correction_small_city(freq_mhz, rx_antenna_height_m)
+    slope = hata_slope_db_per_decade(bs_antenna_height_m)
     log_hte = math.log10(bs_antenna_height_m)
-    return (
-        69.55
-        + 26.16 * math.log10(freq_mhz)
-        - 13.82 * log_hte
-        - correction
-        + (44.9 - 6.55 * log_hte) * math.log10(distance_km)
-    )
+    fixed = 69.55 + 26.16 * math.log10(freq_mhz) - 13.82 * log_hte - correction
+    return fixed + slope * math.log10(distance_km)
 
 
 def hata_slope_db_per_decade(bs_antenna_height_m: float) -> float:
@@ -431,9 +429,12 @@ class LinkBudgetResult(Record):
 
     def __post_init__(self) -> None:
         # E and P_d must agree through the free-space impedance identity.
-        # Relative tolerance 1e-12; a zero density needs a zero field.
+        # Relative tolerance 1e-12, but never finer than 1e-12 of the smallest
+        # normal float: one unit in the last place of a subnormal P_d can be
+        # more than 1e-12 of it. A zero density needs E^2 / (120*pi) <= ~2e-320.
         implied = self.e_field_v_m**2 / FREE_SPACE_IMPEDANCE_OHM
-        if not abs(implied - self.power_density_w_m2) <= 1e-12 * self.power_density_w_m2:
+        scale = max(self.power_density_w_m2, sys.float_info.min)
+        if not abs(implied - self.power_density_w_m2) <= 1e-12 * scale:
             raise ValueError("e_field_v_m inconsistent with power_density_w_m2")
 
 

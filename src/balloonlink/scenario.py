@@ -296,14 +296,13 @@ def scenario_from_dict(raw: dict) -> Scenario:
         distances = []
     elif not distances:
         problems.append("sweeps.distances_m must not be empty")
-    if all(type(value) is float and 0.0 < value < math.inf for value in distances):
-        # the common case, in one pass: each value already passes _number as itself
-        table_distances = tuple(distances)
-    else:
-        table_distances = tuple(
-            _number(value, f"sweeps.distances_m[{i}]", None, POSITIVE, problems)
-            for i, value in enumerate(distances)
-        )
+    # a positive finite float already passes _number as itself
+    table_distances = tuple(
+        value
+        if type(value) is float and 0.0 < value < math.inf
+        else _number(value, f"sweeps.distances_m[{i}]", None, POSITIVE, problems)
+        for i, value in enumerate(distances)
+    )
 
     output_dir = raw.get("output_dir", ".")
     if not isinstance(output_dir, str) or not output_dir:

@@ -291,6 +291,22 @@ class TestLinkBudget:
         # slant range of 0.15 km sits below the Hata validity floor
         assert any("# warning:" in l and "distance_km" in l for l in lines)
 
+    def test_subnormal_density_is_reported(self, run_cli, write_scenario, capsys):
+        # E^2 / (120*pi) and the subnormal P_d agree only to far below 1e-12 of P_d
+        payload = {
+            "transmitter": {"power_w": 9.186094947869e-311, "freq_mhz": 900},
+            "geometry": {"altitude_m": 159.02446236209968},
+        }
+        assert run_cli("linkbudget", "--scenario", str(write_scenario(payload))) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = [line for line in captured.out.splitlines() if not line.startswith("#")]
+        assert rows[0] == "key,value"
+        values = [float(row.split(",")[1]) for row in rows[1:]]
+        assert len(values) == 5
+        assert all(math.isfinite(value) for value in values)
+        assert 0.0 < values[1] < sys.float_info.min
+
 
 class TestExitCodes:
     def test_missing_scenario_file_is_io_error(self, run_cli, tmp_path, capsys):
@@ -303,6 +319,33 @@ class TestExitCodes:
         path = write_scenario({"transmitter": {"power_w": -5.0, "freq_mhz": 900.0}})
         assert run_cli("table1", "--scenario", str(path)) == 1
         assert "power_w must be > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, problem",
+        [
+            ({"geometry": 3}, "geometry must be a JSON object"),
+            (
+                {"green": {"balloon": {"source_kind": "SOLAR", "fuel_liters_per_hour": 1.0}}},
+                "green.balloon: a SOLAR profile must have all emission fields at 0",
+            ),
+            (
+                {"green": {"terrestrial": {"fuel_liters_per_hour": -1.0}}},
+                "green.terrestrial.fuel_liters_per_hour must be >= 0",
+            ),
+            ({"sweeps": {"distances_m": 5}}, "sweeps.distances_m must be a list of numbers"),
+            ({"output_dir": ""}, "output_dir must be a non-empty string"),
+            ({"output_dir": 3}, "output_dir must be a non-empty string"),
+        ],
+        ids=["geometry", "solar-fuel", "profile-number", "distances", "output-dir-empty", "output-dir-int"],
+    )
+    def test_invalid_section_is_one_line(
+        self, run_cli, write_scenario, tmp_path, capsys, section, problem
+    ):
+        payload = {"transmitter": {"power_w": 20.0, "freq_mhz": 900.0}, **section}
+        out = tmp_path / "out"
+        assert run_cli("table1", "--scenario", str(write_scenario(payload)), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: invalid scenario: {problem}\n"
+        assert not out.exists()
 
     def test_malformed_json_is_validation_error(self, run_cli, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -321,6 +364,7 @@ class TestExitCodes:
         [
             ("coverage", "--max-path-loss-db", "1e6"),
             ("coverage", "--max-path-loss-db", "5000"),
+            ("coverage", "--max-path-loss-db", "4700"),
             ("green", "--balloon-radius-km", "1e200", "--terrestrial-radius-km", "1e-200"),
         ],
     )
@@ -336,6 +380,8 @@ class TestExitCodes:
         [
             (("coverage", "--max-path-loss-db", "1e6"), "max_path_loss_db"),
             (("coverage", "--max-path-loss-db", "5000"), "max_path_loss_db"),
+            # the radius squared is finite, the union of 7 cells is not
+            (("coverage", "--max-path-loss-db", "4700"), "radius_km=5.16129e+153"),
             (("green", "--balloon-radius-km", "1e155"), "balloon_radius_km"),
             (("green", "--terrestrial-radius-km", "1e-160"), "terrestrial_radius_km"),
             (("coverage", "--max-path-loss-db", "-5000"), "max_path_loss_db"),

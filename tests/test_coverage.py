@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +73,15 @@ class TestCellRadiusFromBudget:
             loss = hata_path_loss(f, hte, hre, d)
             back = cov.cell_radius_from_budget(f, hte, hre, loss)
             assert abs(back - d) / d < 1e-9
+
+    def test_loss_at_one_km_inverts_to_exactly_one_km(self):
+        # the inverse takes its fixed terms from the forward model at D = 1 km
+        rng = np.random.default_rng(29)
+        for _ in range(2000):
+            f = float(10.0 ** rng.uniform(0.0, 4.0))
+            hte = float(10.0 ** rng.uniform(-1.0, 3.0))
+            hre = float(10.0 ** rng.uniform(-1.0, 2.0))
+            assert cov.cell_radius_from_budget(f, hte, hre, hata_path_loss(f, hte, hre, 1.0)) == 1.0
 
     def test_strictly_increasing_in_budget(self):
         radii = [
@@ -190,6 +200,14 @@ class TestUnionArea:
         small = cov.union_area_km2(cov.constellation_layout(3, 1.0))
         large = cov.union_area_km2(cov.constellation_layout(3, 2.0))
         assert large == pytest.approx(4.0 * small, rel=0.02)
+
+    @pytest.mark.parametrize(
+        "count, radius_km", [(1, 1e200), (7, 1e154)], ids=["square-overflows", "product-overflows"]
+    )
+    def test_area_beyond_float_range_rejected(self, count, radius_km):
+        constellation = cov.constellation_layout(count, radius_km)
+        with pytest.raises(ValueError, match=re.escape(f"radius_km={radius_km:g} is too large")):
+            cov.union_area_km2(constellation)
 
     def test_two_adjacent_cells_lose_one_lens(self):
         radius = 2.5

@@ -148,6 +148,39 @@ class TestReceivedPowerProfile:
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
+def _received_power_profile(tx, *axis):
+    return exp.received_power_profile(tx, 0.0, 900.0, *axis)
+
+
+class TestSweepArguments:
+    @pytest.mark.parametrize(
+        "profile, args, message",
+        [
+            (exp.ground_density_profile, (150.0, 25.0, 1), "num_steps must be >= 2"),
+            (exp.altitude_density_profile, (200.0, 400.0, 0.0, 1), "num_steps must be >= 2"),
+            (exp.efield_profile, (10.0, 500.0, 0), "num_steps must be >= 2"),
+            (exp.range_density_profile, (10.0, 500.0, -3), "num_steps must be >= 2"),
+            (_received_power_profile, (200.0, 400.0, 0.0, 1), "num_steps must be >= 2"),
+            (exp.ground_density_profile, (150.0, -1.0), "offset_max_m must be >= 0"),
+            (exp.altitude_density_profile, (200.0, 400.0, -1.0), "ground_offset_m must be >= 0"),
+            (_received_power_profile, (200.0, 400.0, -1.0), "ground_offset_m must be >= 0"),
+        ],
+        ids=[
+            "ground-steps",
+            "altitude-steps",
+            "efield-steps",
+            "range-steps",
+            "received-steps",
+            "ground-offset",
+            "altitude-offset",
+            "received-offset",
+        ],
+    )
+    def test_rejected(self, profile, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            profile(TX, *args)
+
+
 class TestSweepSeriesInvariants:
     def test_non_increasing_abscissas_rejected(self):
         with pytest.raises(ValueError):

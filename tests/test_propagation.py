@@ -2,6 +2,7 @@
 
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -360,6 +361,50 @@ class TestLinkBudget:
             900.0
         ) ** 2 / (4.0 * math.pi)
         assert result.received_power_w == pytest.approx(expected_pr, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "power_w, altitude_m",
+        [
+            (1.5e-323, 2.822),
+            (3.26e-322, 1.843),
+            (1.21e-320, 1.352),
+            (3.12e-319, 1.093),
+            (5.53e-318, 172.8),
+            (1.06e-316, 2.634),
+            (2.47e-315, 2705.0),
+            (7.11e-314, 5454.0),
+            (6.13e-313, 3.449),
+            (9.186094947869e-311, 159.02446236209968),
+            (1.52e-310, 2461.0),
+        ],
+    )
+    def test_subnormal_density_is_consistent(self, power_w, altitude_m):
+        # P_d is subnormal here, so E^2 / (120*pi) can miss it by more than
+        # 1e-12 of itself while agreeing to far below the smallest normal float
+        tx = prop.TransmitterConfig(power_w=power_w, freq_mhz=900.0)
+        result = prop.link_budget(tx, prop.LinkGeometry(altitude_m=altitude_m))
+        assert result.power_density_w_m2 < sys.float_info.min
+        implied = result.e_field_v_m**2 / prop.FREE_SPACE_IMPEDANCE_OHM
+        assert abs(implied - result.power_density_w_m2) <= 1e-12 * sys.float_info.min
+
+    @pytest.mark.parametrize(
+        "density, e_field",
+        [
+            (1e-315, math.sqrt(2e-315 * 120.0 * math.pi)),
+            (0.0, 1e-150),
+            (1e-300, math.sqrt(1.5e-300 * 120.0 * math.pi)),
+        ],
+        ids=["subnormal", "zero-density", "near-normal"],
+    )
+    def test_result_rejects_inconsistent_tiny_fields(self, density, e_field):
+        with pytest.raises(ValueError, match="e_field_v_m inconsistent"):
+            prop.LinkBudgetResult(
+                path_loss_db=100.0,
+                power_density_w_m2=density,
+                e_field_v_m=e_field,
+                received_power_w=0.0,
+                range_m=10.0,
+            )
 
     def test_result_rejects_inconsistent_fields(self):
         with pytest.raises(ValueError):
