@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .coverage import (
     Constellation,
-    cell_area_km2,
     cell_radius_from_budget,
     constellation_layout,
     linked_pairs,
@@ -28,7 +27,6 @@ from .exposure import (
     altitude_density_profile,
     classify_zone,
     default_thresholds,
-    efield_profile,
     ground_density_profile,
     range_density_profile,
     received_power_profile,
@@ -43,7 +41,6 @@ from .propagation import (
     hata_correction_small_city,
     hata_path_loss,
     hata_validity_warnings,
-    linear_to_db,
     link_budget,
     near_field_distance,
     power_density,

@@ -3,13 +3,16 @@
 Each subcommand loads a scenario (the bundled default unless --scenario
 is given), renders one product and writes it as CSV into the output
 directory. Every subcommand is one row of PRODUCTS; ``_run`` renders all
-of a product's files before it writes any. Exit codes: 0 success, 1
-validation or usage error, 2 I/O error.
+of a product's files before it writes any, and writes them all before it
+reports any. Exit codes: 0 success, 1 validation or usage error, 2 I/O
+error.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
 from collections.abc import Callable
 from itertools import chain
@@ -51,7 +54,10 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter, argparse.RawDescrip
 
 
 def _comma_floats(text: str) -> list[float]:
-    return [float(token) for token in text.split(",") if token.strip()]
+    values = [float(token) for token in text.split(",") if token.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one number")
+    return values
 
 
 # The figure builders and renderers name the layer functions in their
@@ -73,25 +79,33 @@ def _altitude_axis(s: Scenario) -> tuple[float, float, float, int]:
     return sweep.min, sweep.max, s.geometry.ground_offset_m, sweep.steps
 
 
-# figure id -> (series builder, value unit, extra header lines)
+def _density_vs_altitude(s: Scenario):
+    return altitude_density_profile(s.transmitter, *_altitude_axis(s))
+
+
+def _density_vs_range(s: Scenario):
+    sweep = s.range_sweep
+    return range_density_profile(s.transmitter, sweep.min, sweep.max, sweep.steps)
+
+
+def _received_vs_altitude(s: Scenario):
+    return received_power_profile(s.transmitter, s.geometry.rx_gain_db, *_altitude_axis(s))
+
+
+def _lowest_altitude_range(s: Scenario) -> float:
+    return math.hypot(s.altitude_sweep.min, s.geometry.ground_offset_m)
+
+
+_FIG7_NOTE = "# note: distance-decay radiation reported as free-space power density"
+
+# figure id -> (series builder, shortest range it evaluates in m, value unit,
+# extra header lines)
 _FIGURES = {
-    "fig4": (_ground_profile(FIG4_ALTITUDE_M), "W/m2", ()),
-    "fig5": (_ground_profile(FIG5_ALTITUDE_M), "W/m2", ()),
-    "fig6": (lambda s: altitude_density_profile(s.transmitter, *_altitude_axis(s)), "W/m2", ()),
-    "fig7": (
-        lambda s: range_density_profile(
-            s.transmitter, s.range_sweep.min, s.range_sweep.max, s.range_sweep.steps
-        ),
-        "W/m2",
-        ("# note: distance-decay radiation reported as free-space power density",),
-    ),
-    "fig8": (
-        lambda s: received_power_profile(
-            s.transmitter, s.geometry.rx_gain_db, s.transmitter.freq_mhz, *_altitude_axis(s)
-        ),
-        "W",
-        (),
-    ),
+    "fig4": (_ground_profile(FIG4_ALTITUDE_M), lambda s: FIG4_ALTITUDE_M, "W/m2", ()),
+    "fig5": (_ground_profile(FIG5_ALTITUDE_M), lambda s: FIG5_ALTITUDE_M, "W/m2", ()),
+    "fig6": (_density_vs_altitude, _lowest_altitude_range, "W/m2", ()),
+    "fig7": (_density_vs_range, lambda s: s.range_sweep.min, "W/m2", (_FIG7_NOTE,)),
+    "fig8": (_received_vs_altitude, _lowest_altitude_range, "W", ()),
 }
 FIGURE_IDS = tuple(_FIGURES)
 
@@ -100,16 +114,30 @@ def _warnings(messages) -> list[str]:
     return [f"# warning: {message}" for message in messages]
 
 
+def _near_field_warnings(s: Scenario, range_m: float) -> list[str]:
+    """The warning for a shortest range inside the antenna's near field.
+
+    The free-space laws every product evaluates hold only beyond the
+    far-field boundary 2L^2/lambda, L the antenna's largest dimension.
+    """
+    boundary = s.transmitter.near_field_m()
+    if range_m < boundary:
+        return _warnings(
+            [f"range_m={range_m:g} inside the near-field boundary 2*antenna_dim_m^2/wavelength={boundary:g} m"]
+        )
+    return []
+
+
 def _table1(s: Scenario, args: argparse.Namespace):
     rows = table_one(s.transmitter, list(s.table_distances_m))
     lines = ["distance_m,power_density_w_m2"]
     lines.extend(f"{fmt(r)},{fmt(density)}" for r, density in rows)
-    yield "table1.csv", lines
+    yield "table1.csv", lines, min(s.table_distances_m)
 
 
 def _exposure(s: Scenario, args: argparse.Namespace):
     for figure in [args.figure] if args.figure else FIGURE_IDS:
-        build, unit, extra = _FIGURES[figure]
+        build, shortest_range, unit, extra = _FIGURES[figure]
         series = build(s)
         lines = [*extra, f"# series: {series.label}; abscissa: {series.abscissa_name}"]
         lines.append("abscissa,value,unit")
@@ -121,7 +149,7 @@ def _exposure(s: Scenario, args: argparse.Namespace):
         if series.points:
             rows = f"%{_FLOAT_SPEC},%{_FLOAT_SPEC},{unit}\n" * len(series.points)
             lines.append(rows[:-1] % tuple(chain.from_iterable(series.points)))
-        yield f"{figure}.csv", lines
+        yield f"{figure}.csv", lines, shortest_range(s)
 
 
 def _coverage(s: Scenario, args: argparse.Namespace):
@@ -139,7 +167,7 @@ def _coverage(s: Scenario, args: argparse.Namespace):
     for index, (x, y) in enumerate(constellation.centers_km()):
         lines.append(f"{index},{fmt(x)},{fmt(y)}")
     lines.append(f"union_area_km2,{fmt(union)}")
-    yield "coverage.csv", lines
+    yield "coverage.csv", lines, math.inf
 
 
 def _green(s: Scenario, args: argparse.Namespace):
@@ -162,19 +190,18 @@ def _green(s: Scenario, args: argparse.Namespace):
     ]
     for key in ("terrestrial_annual_tons", "balloon_annual_tons", "avoided_tons"):
         lines.append(f"{key},{fmt(getattr(comparison, key))}")
-    yield "green.csv", lines
+    yield "green.csv", lines, math.inf
 
 
 def _zones(s: Scenario, args: argparse.Namespace):
-    densities = args.densities
+    densities, range_m = args.densities, math.inf
     if densities is None:
         # default: classify the peak ground density, directly under the platform
-        tx = s.transmitter
-        peak = power_density(tx.power_w, tx.linear_gain(), slant_range(s.geometry.altitude_m, 0.0))
-        densities = [peak]
+        tx, range_m = s.transmitter, s.geometry.altitude_m
+        densities = [power_density(tx.power_w, tx.linear_gain(), slant_range(range_m, 0.0))]
     lines = ["density_w_m2,zone"]
     lines.extend(f"{fmt(d)},{classify_zone(d, s.thresholds).name}" for d in densities)
-    yield "zones.csv", lines
+    yield "zones.csv", lines, range_m
 
 
 def _linkbudget(s: Scenario, args: argparse.Namespace):
@@ -186,13 +213,14 @@ def _linkbudget(s: Scenario, args: argparse.Namespace):
     # the record's field order is the row order
     for key in result._fields:
         lines.append(f"{key},{fmt(getattr(result, key))}")
-    yield None, lines
+    yield None, lines, result.range_m
 
 
 class Product(Record):
     """One subcommand: renderer, help text and its own flags."""
 
-    # yields (file name, or None for stdout; lines without the scenario notes)
+    # yields (file name, or None for stdout; lines without the scenario notes;
+    # the shortest range the lines evaluate, inf where they evaluate none)
     renderer: Callable
     help: str
     flags: dict
@@ -267,19 +295,38 @@ _COMMON_FLAGS = {
 
 
 def _run(scenario: Scenario, args: argparse.Namespace) -> None:
-    """Render every file of the product, then write them all: a failed render writes nothing."""
+    """Render every file of the product, write them all, then report them.
+
+    A failed render writes nothing, and a failed report (a closed stdout)
+    comes after every file is written, so the files are all of one run.
+    """
     notes = _warnings(scenario.notes)
-    rendered = PRODUCTS[args.command].renderer(scenario, args)
-    files = [(name, notes + lines) for name, lines in rendered]
+    files = [
+        (name, notes + _near_field_warnings(scenario, range_m) + lines)
+        for name, lines, range_m in PRODUCTS[args.command].renderer(scenario, args)
+    ]
     if any(name is not None for name, _ in files):
         out = args.out if args.out is not None else Path(scenario.output_dir)
         out.mkdir(parents=True, exist_ok=True)
     for name, lines in files:
+        if name is not None:
+            write_csv(out / name, lines)
+    for name, lines in files:
         if name is None:
             sys.stdout.write(render(lines))
         else:
-            write_csv(out / name, lines)
             print(f"wrote {out / name}")
+
+
+def _stdout_to_devnull() -> None:
+    """Point stdout's descriptor at os.devnull, so the flush at exit cannot fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # an in-process stream has none
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,7 +362,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario_path = args.scenario if args.scenario is not None else default_scenario_path()
         _run(load_scenario(scenario_path), args)
+        sys.stdout.flush()
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            _stdout_to_devnull()
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, ArithmeticError) as exc:

@@ -100,13 +100,6 @@ def cell_radius_from_budget(
     return radius
 
 
-def cell_area_km2(radius_km: float) -> float:
-    """Area of one circular cell, pi * D^2."""
-    if not 0.0 < radius_km < math.inf:
-        raise ValueError("radius_km must be finite and > 0")
-    return math.pi * radius_km * radius_km
-
-
 def constellation_layout(num_balloons: int, radius_km: float) -> Constellation:
     """Place platforms ring by ring on a hexagonal lattice.
 

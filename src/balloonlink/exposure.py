@@ -16,11 +16,9 @@ from .propagation import (
     POSITIVE,
     Record,
     TransmitterConfig,
-    _e_field_rms,
     _power_density,
     _received_power,
     db_to_linear,
-    e_field_rms,
     power_density,
     received_power,
     slant_range,
@@ -183,25 +181,6 @@ def altitude_density_profile(
     )
 
 
-def efield_profile(
-    tx: TransmitterConfig,
-    range_min_m: float,
-    range_max_m: float,
-    num_steps: int = DEFAULT_NUM_STEPS,
-) -> SweepSeries:
-    """Rms E-field over a straight-line distance sweep; falls off as 1/R."""
-    _check_range("range", range_min_m, range_max_m)
-    power, gain = tx.power_w, tx.linear_gain()
-    ranges = _sample_axis(range_min_m, range_max_m, num_steps)
-    return _sweep(
-        "rms E-field vs distance",
-        "range_m",
-        ranges,
-        lambda r: e_field_rms(power, gain, r),
-        lambda: [_e_field_rms(power, gain, r) for r in ranges],
-    )
-
-
 def range_density_profile(
     tx: TransmitterConfig,
     range_min_m: float,
@@ -224,16 +203,15 @@ def range_density_profile(
 def received_power_profile(
     tx: TransmitterConfig,
     rx_gain_db: float,
-    freq_mhz: float,
     altitude_min_m: float,
     altitude_max_m: float,
     ground_offset_m: float = 0.0,
     num_steps: int = DEFAULT_NUM_STEPS,
 ) -> SweepSeries:
-    """Received power at a ground point as the platform altitude rises."""
+    """Received power at a ground point as the platform altitude rises, at tx.freq_mhz."""
     _check_range("altitude", altitude_min_m, altitude_max_m)
     _check_non_negative("ground_offset_m", ground_offset_m)
-    power, tx_gain = tx.power_w, tx.linear_gain()
+    power, tx_gain, freq_mhz = tx.power_w, tx.linear_gain(), tx.freq_mhz
     rx_gain = db_to_linear(rx_gain_db)
     lam = wavelength_m(freq_mhz)
     altitudes = _sample_axis(altitude_min_m, altitude_max_m, num_steps)

@@ -36,13 +36,6 @@ def db_to_linear(value_db: float) -> float:
     return ratio
 
 
-def linear_to_db(ratio: float) -> float:
-    """Convert a positive linear power ratio to decibels."""
-    if not (math.isfinite(ratio) and ratio > 0.0):
-        raise ValueError("linear ratio must be finite and > 0")
-    return 10.0 * math.log10(ratio)
-
-
 def wavelength_m(freq_mhz: float) -> float:
     """Free-space wavelength in meters for a carrier given in MHz."""
     if not 0.0 < freq_mhz < math.inf:

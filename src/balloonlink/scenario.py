@@ -36,7 +36,7 @@ class ScenarioError(ValueError):
 
 
 class ScenarioParseError(ScenarioError):
-    """The file is not valid JSON; the message carries the line number."""
+    """The file is not UTF-8 JSON; the message names the file and where it fails."""
 
 
 class ScenarioValidationError(ScenarioError):
@@ -87,16 +87,20 @@ def load_scenario(path: str | Path) -> Scenario:
     """Read, parse and validate a scenario file.
 
     Raises OSError if the file cannot be read, ScenarioParseError for
-    malformed JSON and ScenarioValidationError (listing every violation)
-    for constraint failures.
+    text that is not UTF-8, malformed or too deeply nested JSON, and
+    ScenarioValidationError (listing every violation) for constraint
+    failures.
     """
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"{path}: byte {exc.start}: not UTF-8 text") from exc
+    except RecursionError as exc:
+        raise ScenarioParseError(f"{path}: JSON nested too deeply") from exc
     return scenario_from_dict(raw)
 
 

@@ -1,7 +1,9 @@
 """CLI behavior: file contents, exit codes, determinism."""
 
+import errno
 import hashlib
 import math
+import os
 import re
 import subprocess
 import sys
@@ -12,6 +14,7 @@ import pytest
 from balloonlink import cli
 from balloonlink import scenario as scen
 from balloonlink.cli import FIGURE_IDS
+from balloonlink.propagation import TransmitterConfig, wavelength_m
 
 TABLE1_GOLDEN = """\
 # warning: gain_linear=50 overrides gain_db=17
@@ -239,14 +242,14 @@ class TestZones:
         assert data[2].endswith(",CAUTION")
         assert data[3].endswith(",SAFE")
 
-    def test_empty_density_list_gives_header_only(self, run_cli, tmp_path):
-        assert run_cli("zones", "--densities", "", "--out", str(tmp_path)) == 0
-        data = [
-            l
-            for l in (tmp_path / "zones.csv").read_text().splitlines()
-            if not l.startswith("#")
-        ]
-        assert data == ["density_w_m2,zone"]
+    @pytest.mark.parametrize("densities", ["", ",", " , "], ids=["empty", "comma", "spaces"])
+    def test_empty_density_list_is_usage_error(self, run_cli, tmp_path, capsys, densities):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("zones", "--densities", densities, "--out", str(tmp_path))
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert err.endswith("balloonlink zones: error: argument --densities: expected at least one number\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_default_classifies_scenario_peak(self, run_cli, tmp_path):
         assert run_cli("zones", "--out", str(tmp_path)) == 0
@@ -308,6 +311,97 @@ class TestLinkBudget:
         assert 0.0 < values[1] < sys.float_info.min
 
 
+# The shortest range each product evaluates in NEAR_FIELD_PAYLOAD, in m.
+NEAR_FIELD_PAYLOAD = {
+    "geometry": {"altitude_m": 30.0, "ground_offset_m": 40.0},
+    "sweeps": {
+        "altitude": {"min": 30.0, "max": 60.0},
+        "range": {"min": 40.0, "max": 500.0},
+        "distances_m": [100.0, 40.0],
+    },
+}
+SHORTEST_RANGE_M = {
+    ("table1",): 40.0,  # min(distances_m)
+    ("exposure", "--figure", "fig4"): cli.FIG4_ALTITUDE_M,
+    ("exposure", "--figure", "fig5"): cli.FIG5_ALTITUDE_M,
+    ("exposure", "--figure", "fig6"): 50.0,  # hypot(altitude min, ground offset)
+    ("exposure", "--figure", "fig7"): 40.0,  # range min
+    ("exposure", "--figure", "fig8"): 50.0,
+    ("linkbudget",): 50.0,  # the slant range
+    ("zones",): 30.0,  # the altitude, over the peak density
+}
+
+
+def _near_field_m(antenna_dim_m: float, freq_mhz: float) -> float:
+    return TransmitterConfig(1.0, freq_mhz=freq_mhz, antenna_dim_m=antenna_dim_m).near_field_m()
+
+
+def _antenna_at(boundary_m: float) -> tuple[float, float]:
+    """(antenna_dim_m, freq_mhz) whose far-field boundary is exactly boundary_m."""
+    for freq_mhz in (900.0, 901.0, 902.0, 903.0, 904.0):
+        guess = math.sqrt(boundary_m * wavelength_m(freq_mhz) / 2.0)
+        for length in (guess, math.nextafter(guess, 0.0), math.nextafter(guess, math.inf)):
+            if _near_field_m(length, freq_mhz) == boundary_m:
+                return length, freq_mhz
+    raise AssertionError(f"no antenna found with its boundary at exactly {boundary_m} m")
+
+
+@pytest.fixture
+def near_field_lines(run_cli, write_scenario, tmp_path, capsys):
+    """Run a product on NEAR_FIELD_PAYLOAD with the given antenna; return its near-field warnings."""
+
+    def run(argv, antenna_dim_m, freq_mhz):
+        transmitter = {"power_w": 20.0, "freq_mhz": freq_mhz, "antenna_dim_m": antenna_dim_m}
+        path = write_scenario({**NEAR_FIELD_PAYLOAD, "transmitter": transmitter})
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--scenario", str(path), "--out", str(out)) == 0
+        texts = [p.read_text() for p in out.glob("*.csv")] or [capsys.readouterr().out]
+        return [line for text in texts for line in text.splitlines() if "near-field" in line]
+
+    return run
+
+
+@pytest.mark.parametrize("argv", SHORTEST_RANGE_M, ids=lambda argv: argv[-1])
+class TestNearField:
+    def test_no_warning_at_the_boundary(self, near_field_lines, argv):
+        assert near_field_lines(argv, *_antenna_at(SHORTEST_RANGE_M[argv])) == []
+
+    def test_one_warning_just_inside(self, near_field_lines, argv):
+        range_m = SHORTEST_RANGE_M[argv]
+        length, freq_mhz = _antenna_at(range_m)
+        while _near_field_m(length, freq_mhz) == range_m:
+            length = math.nextafter(length, math.inf)
+        boundary = _near_field_m(length, freq_mhz)
+        assert near_field_lines(argv, length, freq_mhz) == [
+            f"# warning: range_m={range_m:g} inside the near-field boundary "
+            f"2*antenna_dim_m^2/wavelength={boundary:g} m"
+        ]
+
+    def test_no_warning_without_an_antenna_size(self, near_field_lines, argv):
+        assert near_field_lines(argv, 0.0, 900.0) == []
+
+
+class TestNearFieldProducts:
+    @pytest.mark.parametrize(
+        "argv", [("zones", "--densities", "1.0"), ("coverage",), ("green",)], ids=lambda a: a[0]
+    )
+    def test_product_without_a_range_never_warns(self, near_field_lines, argv):
+        # a 100 m antenna at 900 MHz has its far field beyond 60 km
+        assert near_field_lines(argv, 100.0, 900.0) == []
+
+    @pytest.mark.parametrize("antenna_dim_m, warnings", [(3.0, 1), (1.0, 0)])
+    def test_antenna_size_decides_the_table1_warning(
+        self, run_cli, write_scenario, tmp_path, antenna_dim_m, warnings
+    ):
+        # 2 L^2 / lambda at 900 MHz: 54.0 m for L = 3 m, 6.0 m for L = 1 m
+        transmitter = {"power_w": 20.0, "freq_mhz": 900.0, "antenna_dim_m": antenna_dim_m}
+        path = write_scenario({"transmitter": transmitter, "sweeps": {"distances_m": [10.0]}})
+        assert run_cli("table1", "--scenario", str(path), "--out", str(tmp_path / "out")) == 0
+        lines = (tmp_path / "out" / "table1.csv").read_text().splitlines()
+        assert sum(line.startswith("# warning: range_m=10 inside") for line in lines) == warnings
+        assert len(lines) == 2 + warnings
+
+
 class TestExitCodes:
     def test_missing_scenario_file_is_io_error(self, run_cli, tmp_path, capsys):
         assert run_cli("table1", "--scenario", str(tmp_path / "nope.json")) == 2
@@ -352,6 +446,37 @@ class TestExitCodes:
         path.write_text("{", encoding="utf-8")
         assert run_cli("table1", "--scenario", str(path)) == 1
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, out_is_file, code, message",
+        [
+            # deeper than the recursion limit of any interpreter
+            (b'{"sweeps": {"distances_m": ' + b"[" * 100_000 + b"]" * 100_000 + b"}}", False, 1,
+             "error: {path}: JSON nested too deeply\n"),
+            (b'{"transmitter": {"power_w": 20, "freq_mhz": 900}, "output_dir": "\xff"}', False, 1,
+             "error: {path}: byte 65: not UTF-8 text\n"),
+            (b"[20, 900]", False, 1, "error: invalid scenario: scenario root must be a JSON object\n"),
+            (None, False, 2, "I/O error: "),  # None: the scenario path is a directory
+            (b'{"transmitter": {"power_w": 20, "freq_mhz": 900}}', True, 2, "I/O error: "),
+        ],
+        ids=["deep-nesting", "not-utf-8", "root-not-object", "scenario-is-directory", "out-is-file"],
+    )
+    def test_unusable_scenario_or_out_is_one_line(
+        self, run_cli, tmp_path, capsys, content, out_is_file, code, message
+    ):
+        path = tmp_path / "scenario.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        out = tmp_path / "out"
+        if out_is_file:
+            out.write_text("not a directory", encoding="utf-8")
+        assert run_cli("table1", "--scenario", str(path), "--out", str(out)) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message.format(path=path))
+        assert err.count("\n") == 1
+        assert not (out / "table1.csv").exists()
 
     def test_unwritable_out_dir_is_io_error(self, run_cli, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -573,6 +698,55 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert (tmp_path / "table1.csv").exists()
+
+
+class _ClosedPipe:
+    """An in-process stdout whose reader has gone; it has no file descriptor."""
+
+    def __init__(self, buffered: bool):
+        self.buffered = buffered
+
+    def write(self, text: str) -> int:
+        if not self.buffered:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return len(text)
+
+    def flush(self) -> None:
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+class TestClosedStdout:
+    FIGURES = sorted(f"{figure}.csv" for figure in FIGURE_IDS)
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["fails-on-write", "fails-on-flush"])
+    def test_every_file_is_written_before_the_error(self, run_cli, tmp_path, capsys, monkeypatch, buffered):
+        assert run_cli("exposure", "--out", str(tmp_path / "open")) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(buffered))
+        assert run_cli("exposure", "--out", str(tmp_path / "closed")) == 2
+        assert capsys.readouterr().err == "I/O error: [Errno 32] Broken pipe\n"
+        assert sorted(p.name for p in (tmp_path / "closed").iterdir()) == self.FIGURES
+        for name in self.FIGURES:
+            assert (tmp_path / "closed" / name).read_bytes() == (tmp_path / "open" / name).read_bytes()
+
+    def test_closed_pipe_exits_2_with_one_line(self, tmp_path):
+        # Python's default block buffering: without PYTHONUNBUFFERED the
+        # error surfaces at the flush, not at the first write
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "balloonlink", "exposure", "--out", str(tmp_path)],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (2, "I/O error: [Errno 32] Broken pipe\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == self.FIGURES
 
 
 def _data_rows(path):

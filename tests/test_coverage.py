@@ -102,17 +102,6 @@ class TestCellRadiusFromBudget:
             cov.cell_radius_from_budget(900.0, 200.0, 1.5, math.nan)
 
 
-class TestCellArea:
-    def test_values(self):
-        assert cov.cell_area_km2(1.0) == pytest.approx(math.pi, rel=1e-12)
-        assert cov.cell_area_km2(10.0) == pytest.approx(100.0 * math.pi, rel=1e-12)
-        assert cov.cell_area_km2(0.5) == pytest.approx(0.25 * math.pi, rel=1e-12)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            cov.cell_area_km2(0.0)
-
-
 class TestConstellationLayout:
     def test_single_cell_at_origin(self):
         constellation = cov.constellation_layout(1, 5.0)
@@ -193,7 +182,7 @@ class TestUnionArea:
     def test_union_between_single_cell_and_disjoint_total(self):
         constellation = cov.constellation_layout(7, 2.0)
         area = cov.union_area_km2(constellation)
-        single = cov.cell_area_km2(2.0)
+        single = math.pi * 2.0 * 2.0
         assert single < area < 7.0 * single
 
     def test_scales_with_radius_squared(self):

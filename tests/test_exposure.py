@@ -98,22 +98,6 @@ class TestAltitudeDensityProfile:
             exp.altitude_density_profile(TX, 0.0, 400.0, 0.0)
 
 
-class TestEfieldProfile:
-    def test_reference_value_and_1_over_r(self):
-        series = exp.efield_profile(TX, 10.0, 100.0, num_steps=10)
-        assert series.points[0][1] == pytest.approx(17.32050807568877, rel=1e-12)
-        assert series.points[-1][1] == pytest.approx(series.points[0][1] / 10.0, rel=1e-13)
-
-    def test_zero_power_gives_zero_series(self):
-        dark = TransmitterConfig(power_w=0.0, gain_db=17.0, freq_mhz=900.0)
-        series = exp.efield_profile(dark, 10.0, 100.0, num_steps=5)
-        assert all(v == 0.0 for v in series.values())
-
-    def test_inverted_range_rejected(self):
-        with pytest.raises(ValueError):
-            exp.efield_profile(TX, 100.0, 10.0)
-
-
 class TestRangeDensityProfile:
     def test_matches_single_point_calls(self):
         series = exp.range_density_profile(TX, 10.0, 500.0, num_steps=5)
@@ -127,29 +111,29 @@ class TestRangeDensityProfile:
 
 class TestReceivedPowerProfile:
     def test_reference_value(self):
-        series = exp.received_power_profile(TX, 0.0, 900.0, 500.0, 1000.0, 0.0, num_steps=3)
+        series = exp.received_power_profile(TX, 0.0, 500.0, 1000.0, 0.0, num_steps=3)
         assert series.points[-1][0] == 1000.0
         assert series.points[-1][1] == pytest.approx(7.026461305115372e-7, rel=1e-12)
 
     def test_inverse_square_between_200_and_400(self):
-        series = exp.received_power_profile(TX, 0.0, 900.0, 200.0, 400.0, 0.0)
+        series = exp.received_power_profile(TX, 0.0, 200.0, 400.0, 0.0)
         assert series.points[-1][1] == pytest.approx(series.points[0][1] / 4.0, rel=1e-13)
 
     def test_rx_gain_doubling_doubles_values(self):
-        base = exp.received_power_profile(TX, 0.0, 900.0, 200.0, 400.0, 0.0, num_steps=7)
+        base = exp.received_power_profile(TX, 0.0, 200.0, 400.0, 0.0, num_steps=7)
         doubled = exp.received_power_profile(
-            TX, 10.0 * math.log10(2.0), 900.0, 200.0, 400.0, 0.0, num_steps=7
+            TX, 10.0 * math.log10(2.0), 200.0, 400.0, 0.0, num_steps=7
         )
         for (_, b), (_, d) in zip(base.points, doubled.points):
             assert d == pytest.approx(2.0 * b, rel=1e-12)
 
     def test_strictly_decreasing(self):
-        values = exp.received_power_profile(TX, 0.0, 900.0, 200.0, 400.0, 0.0).values()
+        values = exp.received_power_profile(TX, 0.0, 200.0, 400.0, 0.0).values()
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
 def _received_power_profile(tx, *axis):
-    return exp.received_power_profile(tx, 0.0, 900.0, *axis)
+    return exp.received_power_profile(tx, 0.0, *axis)
 
 
 class TestSweepArguments:
@@ -158,7 +142,6 @@ class TestSweepArguments:
         [
             (exp.ground_density_profile, (150.0, 25.0, 1), "num_steps must be >= 2"),
             (exp.altitude_density_profile, (200.0, 400.0, 0.0, 1), "num_steps must be >= 2"),
-            (exp.efield_profile, (10.0, 500.0, 0), "num_steps must be >= 2"),
             (exp.range_density_profile, (10.0, 500.0, -3), "num_steps must be >= 2"),
             (_received_power_profile, (200.0, 400.0, 0.0, 1), "num_steps must be >= 2"),
             (exp.ground_density_profile, (150.0, -1.0), "offset_max_m must be >= 0"),
@@ -168,7 +151,6 @@ class TestSweepArguments:
         ids=[
             "ground-steps",
             "altitude-steps",
-            "efield-steps",
             "range-steps",
             "received-steps",
             "ground-offset",

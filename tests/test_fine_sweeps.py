@@ -18,10 +18,10 @@ from balloonlink import scenario as scen
 from balloonlink.csvout import fmt
 from balloonlink.propagation import (
     db_to_linear,
-    e_field_rms,
     power_density,
     received_power,
     slant_range,
+    wavelength_m,
 )
 
 SWEEPS = ("ground_offset", "altitude", "range")
@@ -74,7 +74,6 @@ def _single_points(s: scen.Scenario) -> dict:
         "fig6": lambda a: power_density(power, gain, slant_range(a, offset)),
         "fig7": lambda r: power_density(power, gain, r),
         "fig8": lambda a: received_power(power, gain, rx_gain, tx.freq_mhz, slant_range(a, offset)),
-        "efield": lambda r: e_field_rms(power, gain, r),
     }
 
 
@@ -84,7 +83,6 @@ def test_every_sampled_value_is_the_single_point_call(source, steps):
     payload = _bundled_payload(steps) if source == "bundled" else _seeded_payload(5, steps)
     s = scen.scenario_from_dict(payload)
     series = {figure: cli._FIGURES[figure][0](s) for figure in cli.FIGURE_IDS}
-    series["efield"] = exp.efield_profile(s.transmitter, s.range_sweep.min, s.range_sweep.max, steps)
     for name, single_point in _single_points(s).items():
         points = series[name].points
         assert len(points) == steps
@@ -110,7 +108,7 @@ def test_csv_bytes(tmp_path, steps):
     }
     single_points = _single_points(s)
     for figure in cli.FIGURE_IDS:
-        build, unit, extra = cli._FIGURES[figure]
+        build, _, unit, extra = cli._FIGURES[figure]
         series = build(s)
         lines = [*extra, f"# series: {series.label}; abscissa: {series.abscissa_name}"]
         lines.append("abscissa,value,unit")
@@ -121,10 +119,19 @@ def test_csv_bytes(tmp_path, steps):
         for directory in (out, tmp_path / figure):
             assert (directory / f"{figure}.csv").read_bytes().decode().split("\n") == [*lines, ""]
         assert [p.name for p in (tmp_path / figure).iterdir()] == [f"{figure}.csv"]
-    gain = s.transmitter.linear_gain()
-    lines = ["distance_m,power_density_w_m2"]
-    lines += [f"{fmt(r)},{fmt(power_density(s.transmitter.power_w, gain, r))}" for r in s.table_distances_m]
-    assert len(lines) == steps + 1
+    # seeded distances start at 1 m: from 101 steps on, the shortest lies
+    # inside the near field of the default 1 m antenna, and table1 says so
+    tx, nearest = s.transmitter, min(s.table_distances_m)
+    boundary = 2.0 * tx.antenna_dim_m**2 / wavelength_m(tx.freq_mhz)
+    assert (nearest < boundary) == (steps > 2)
+    lines = [
+        f"# warning: range_m={nearest:g} inside the near-field boundary "
+        f"2*antenna_dim_m^2/wavelength={boundary:g} m"
+    ] if nearest < boundary else []
+    lines.append("distance_m,power_density_w_m2")
+    gain = tx.linear_gain()
+    lines += [f"{fmt(r)},{fmt(power_density(tx.power_w, gain, r))}" for r in s.table_distances_m]
+    assert len(lines) == steps + 1 + (nearest < boundary)
     assert (out / "table1.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
@@ -132,8 +139,8 @@ def test_empty_series_adds_no_row(monkeypatch):
     # the CLI never builds a series without points; a renderer given one
     # writes the header lines alone, as a row per point would
     empty = exp.SweepSeries("empty", "range_m")
-    monkeypatch.setitem(cli._FIGURES, "fig7", (lambda s: empty, "W/m2", ()))
+    monkeypatch.setitem(cli._FIGURES, "fig7", (lambda s: empty, lambda s: 10.0, "W/m2", ()))
     args = cli.build_parser().parse_args(["exposure", "--figure", "fig7"])
-    (name, lines), = cli._exposure(scen.load_scenario(scen.default_scenario_path()), args)
+    (name, lines, _), = cli._exposure(scen.load_scenario(scen.default_scenario_path()), args)
     assert name == "fig7.csv"
     assert lines == ["# series: empty; abscissa: range_m", "abscissa,value,unit"]

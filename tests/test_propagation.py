@@ -36,17 +36,11 @@ class TestDbConversions:
             prop.db_to_linear(value_db)
         assert str(excinfo.value).startswith(f"value_db={value_db:g} is out of range")
 
-    def test_linear_to_db_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            prop.linear_to_db(0.0)
-        with pytest.raises(ValueError):
-            prop.linear_to_db(-1.0)
-
     def test_round_trip(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             ratio = float(10.0 ** rng.uniform(-6.0, 6.0))
-            back = prop.db_to_linear(prop.linear_to_db(ratio))
+            back = prop.db_to_linear(10.0 * math.log10(ratio))
             assert abs(back - ratio) / ratio < 1e-12
 
 
@@ -477,7 +471,6 @@ _FINITE_GUARDED = {
             max_path_loss_db=140.0,
         ),
     ),
-    "cell_area_km2": (cov.cell_area_km2, dict(radius_km=1.0)),
     "PowerSourceProfile": (
         functools.partial(em.PowerSourceProfile, em.SourceKind.DIESEL),
         dict(
