@@ -3,9 +3,9 @@
 Each subcommand loads a scenario (the bundled default unless --scenario
 is given), renders one product and writes it as CSV into the output
 directory. Every subcommand is one row of PRODUCTS; ``_run`` renders all
-of a product's files before it writes any, and writes them all before it
-reports any. Exit codes: 0 success, 1 validation or usage error, 2 I/O
-error.
+of a product's files before it writes any, replaces them as one set and
+only then reports them. Exit codes: 0 success, 1 validation or usage
+error, 2 I/O error.
 """
 
 from __future__ import annotations
@@ -54,7 +54,12 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter, argparse.RawDescrip
 
 
 def _comma_floats(text: str) -> list[float]:
-    values = [float(token) for token in text.split(",") if token.strip()]
+    values = []
+    for token in filter(str.strip, text.split(",")):
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {token.strip()!r}") from None
     if not values:
         raise argparse.ArgumentTypeError("expected at least one number")
     return values
@@ -294,11 +299,35 @@ _COMMON_FLAGS = {
 }
 
 
-def _run(scenario: Scenario, args: argparse.Namespace) -> None:
-    """Render every file of the product, write them all, then report them.
+def _replace_all(files: list[tuple[Path, list[str]]]) -> None:
+    """Replace the whole file set or none of it.
 
-    A failed render writes nothing, and a failed report (a closed stdout)
-    comes after every file is written, so the files are all of one run.
+    Each file is written under a hidden staged name in its target's
+    directory, qualified by the process id. Only when every write has
+    succeeded are the staged files renamed onto their targets; a failed
+    write removes every staged file, so the old set stays as it was. (A
+    rename within one directory fails only where the target cannot be
+    replaced, say a directory of that name; the renames before it stand.)
+    """
+    staged = []
+    try:
+        for path, lines in files:
+            staged.append(path.with_name(f".{path.name}.{os.getpid()}.staged"))
+            write_csv(staged[-1], lines)
+        for stage, (path, _) in zip(staged, files):
+            os.replace(stage, path)
+    except BaseException:
+        for stage in staged:
+            stage.unlink(missing_ok=True)
+        raise
+
+
+def _run(scenario: Scenario, args: argparse.Namespace) -> None:
+    """Render every file of the product, replace them as one set, then report them.
+
+    A failed render writes nothing, a failed write leaves the old files as
+    they were, and a failed report (a closed stdout) comes after every file
+    is in place, so the files are all of one run.
     """
     notes = _warnings(scenario.notes)
     files = [
@@ -308,9 +337,7 @@ def _run(scenario: Scenario, args: argparse.Namespace) -> None:
     if any(name is not None for name, _ in files):
         out = args.out if args.out is not None else Path(scenario.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-    for name, lines in files:
-        if name is not None:
-            write_csv(out / name, lines)
+        _replace_all([(out / name, lines) for name, lines in files if name is not None])
     for name, lines in files:
         if name is None:
             sys.stdout.write(render(lines))
@@ -373,7 +400,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

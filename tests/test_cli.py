@@ -1,6 +1,7 @@
 """CLI behavior: file contents, exit codes, determinism."""
 
 import errno
+import gc
 import hashlib
 import math
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from balloonlink import __main__ as balloonlink_main
 from balloonlink import cli
 from balloonlink import scenario as scen
 from balloonlink.cli import FIGURE_IDS
@@ -92,6 +94,29 @@ class TestExposure:
         assert run_cli("exposure", "--out", str(tmp_path)) == 0
         for figure in FIGURE_IDS:
             assert (tmp_path / f"{figure}.csv").exists()
+
+    def test_failed_write_keeps_the_old_file_set(self, run_cli, write_scenario, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        assert run_cli("exposure", "--out", str(out)) == 0
+        old = {p.name: (p.read_bytes(), p.stat().st_ino) for p in out.iterdir()}
+        assert sorted(old) == sorted(f"{figure}.csv" for figure in FIGURE_IDS)
+        calls, write_csv = [], cli.write_csv
+
+        def full_disk_on_third(path, lines):
+            calls.append(path)
+            if len(calls) == 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            write_csv(path, lines)
+            assert path.is_file()
+
+        monkeypatch.setattr(cli, "write_csv", full_disk_on_third)
+        # another transmitter power, so a replaced file would differ in bytes
+        scenario = write_scenario({"transmitter": {"power_w": 40.0, "freq_mhz": 900.0}})
+        capsys.readouterr()
+        assert run_cli("exposure", "--scenario", str(scenario), "--out", str(out)) == 2
+        assert capsys.readouterr().err == "I/O error: [Errno 28] No space left on device\n"
+        assert len(calls) == 3
+        assert {p.name: (p.read_bytes(), p.stat().st_ino) for p in out.iterdir()} == old
 
     def test_fig7_carries_interpretation_note(self, run_cli, tmp_path):
         assert run_cli("exposure", "--figure", "fig7", "--out", str(tmp_path)) == 0
@@ -249,6 +274,15 @@ class TestZones:
         assert excinfo.value.code == 1
         err = capsys.readouterr().err
         assert err.endswith("balloonlink zones: error: argument --densities: expected at least one number\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("densities, token", [("abc", "abc"), ("1.0, x2", "x2")])
+    def test_non_number_density_names_the_token(self, run_cli, tmp_path, capsys, densities, token):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("zones", "--densities", densities, "--out", str(tmp_path))
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert err.endswith(f"balloonlink zones: error: argument --densities: not a number: '{token}'\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_default_classifies_scenario_peak(self, run_cli, tmp_path):
@@ -689,15 +723,63 @@ class TestDeterminism:
         assert capsys.readouterr().out == first
 
 
+def _python(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True)
+
+
 class TestEntryPoint:
     def test_python_dash_m_invocation(self, tmp_path):
-        result = subprocess.run(
-            [sys.executable, "-m", "balloonlink", "table1", "--out", str(tmp_path)],
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0
+        result = _python("-m", "balloonlink", "table1", "--out", str(tmp_path))
+        assert (result.returncode, result.stderr) == (0, "")
         assert (tmp_path / "table1.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("bogus",), 1),
+            (("zones", "--densities", "abc"), 1),
+            (("table1", "--scenario", "{invalid}"), 1),
+            (("table1", "--out", "{file}"), 2),
+        ],
+        ids=["unknown-command", "densities-not-a-number", "invalid-scenario", "out-is-a-file"],
+    )
+    def test_exit_code_and_one_error_line(self, write_scenario, tmp_path, argv, code):
+        invalid = write_scenario({"transmitter": {"power_w": -5.0, "freq_mhz": 900.0}})
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory", encoding="utf-8")
+        argv = [arg.format(invalid=invalid, file=blocker) for arg in argv]
+        result = _python("-m", "balloonlink", *argv)
+        assert result.returncode == code
+        assert sum("error:" in line for line in result.stderr.splitlines()) == 1
+        assert "Traceback" not in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "scenario.json"]
+
+    def test_dev_mode_with_warnings_as_errors_is_silent(self, tmp_path):
+        result = _python("-X", "dev", "-W", "error", "-m", "balloonlink", "exposure", "--out", str(tmp_path))
+        assert (result.returncode, result.stderr) == (0, "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{figure}.csv" for figure in FIGURE_IDS)
+
+    @pytest.mark.parametrize(
+        "argv, code", [(["table1", "--out", "{out}"], 0), (["--version"], 0), (["bogus"], 1)]
+    )
+    def test_run_freezes_the_heap_once_on_every_exit(self, tmp_path, capsys, monkeypatch, argv, code):
+        # a recorder stands in for gc.freeze, so this process is never frozen
+        freezes = []
+        monkeypatch.setattr(gc, "freeze", lambda: freezes.append(True))
+        monkeypatch.setattr(sys, "argv", ["balloonlink", *(a.format(out=tmp_path) for a in argv)])
+        if argv[0] == "table1":
+            assert balloonlink_main.run() == code
+        else:
+            with pytest.raises(SystemExit) as excinfo:
+                balloonlink_main.run()
+            assert excinfo.value.code == code
+        assert freezes == [True]
+
+    def test_main_in_process_never_freezes(self, run_cli, tmp_path, monkeypatch):
+        monkeypatch.setattr(gc, "freeze", lambda: pytest.fail("cli.main froze the heap"))
+        assert run_cli("table1", "--out", str(tmp_path)) == 0
+        with pytest.raises(SystemExit):
+            run_cli("--version")
 
 
 class _ClosedPipe:
