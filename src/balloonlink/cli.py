@@ -11,11 +11,12 @@ error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
 from collections.abc import Callable
-from itertools import chain
+from itertools import chain, takewhile
 from pathlib import Path
 
 from . import __version__
@@ -125,6 +126,8 @@ def _near_field_warnings(s: Scenario, range_m: float) -> list[str]:
     The free-space laws every product evaluates hold only beyond the
     far-field boundary 2L^2/lambda, L the antenna's largest dimension.
     """
+    if range_m == math.inf:  # the product evaluates no range
+        return []
     boundary = s.transmitter.near_field_m()
     if range_m < boundary:
         return _warnings(
@@ -299,26 +302,39 @@ _COMMON_FLAGS = {
 }
 
 
-def _replace_all(files: list[tuple[Path, list[str]]]) -> None:
-    """Replace the whole file set or none of it.
+def _replace_all(out: Path, files: list[tuple[str, list[str]]]) -> None:
+    """Replace the named files in the directory out as one set, or none of them.
 
-    Each file is written under a hidden staged name in its target's
-    directory, qualified by the process id. Only when every write has
-    succeeded are the staged files renamed onto their targets; a failed
-    write removes every staged file, so the old set stays as it was. (A
-    rename within one directory fails only where the target cannot be
-    replaced, say a directory of that name; the renames before it stand.)
+    out is created with its missing parents. Each file is written once,
+    under a hidden staged name in out qualified by the process id. Only
+    when every write has succeeded and no target is a directory (which a
+    rename cannot replace) is each staged file renamed, once, onto its
+    target. A failure before that removes every staged file written and
+    every directory created, so the old set stays as it was.
     """
-    staged = []
+    missing = list(takewhile(lambda directory: not directory.exists(), (out, *out.parents)))
+    created, staged = [], []
     try:
-        for path, lines in files:
-            staged.append(path.with_name(f".{path.name}.{os.getpid()}.staged"))
-            write_csv(staged[-1], lines)
-        for stage, (path, _) in zip(staged, files):
-            os.replace(stage, path)
+        for directory in reversed(missing):
+            directory.mkdir()
+            created.append(directory)
+        for name, lines in files:
+            stage = out / f".{name}.{os.getpid()}.staged"
+            # listed only once written: the create is exclusive, so a file
+            # already at stage is refused and must be kept
+            write_csv(stage, lines)
+            staged.append(stage)
+        targets = [out / name for name, _ in files]
+        for target in targets:
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+        for stage, target in zip(staged, targets):
+            os.replace(stage, target)
     except BaseException:
         for stage in staged:
             stage.unlink(missing_ok=True)
+        for directory in reversed(created):
+            directory.rmdir()
         raise
 
 
@@ -336,8 +352,7 @@ def _run(scenario: Scenario, args: argparse.Namespace) -> None:
     ]
     if any(name is not None for name, _ in files):
         out = args.out if args.out is not None else Path(scenario.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _replace_all([(out / name, lines) for name, lines in files if name is not None])
+        _replace_all(out, [(name, lines) for name, lines in files if name is not None])
     for name, lines in files:
         if name is None:
             sys.stdout.write(render(lines))

@@ -7,7 +7,6 @@ the same configuration produce byte-identical output.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 # The format spec of every float written: fmt's, and %-style in cli's row templates.
@@ -24,17 +23,15 @@ def render(lines: list[str]) -> str:
 
 
 def write_csv(path: Path, lines: list[str]) -> None:
-    """Replace path atomically: a write that fails leaves the old file as it was.
+    """Create path and write the rendered lines to it.
 
-    The text goes to a temporary file in the same directory, which is then
-    renamed onto path, or removed if anything fails before the rename.
+    The create is exclusive: a file or symlink already at path is refused
+    (FileExistsError) and left as it was. A write that fails removes path.
     """
-    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    file = open(temp, "x", encoding="utf-8", newline="\n")
+    file = open(path, "x", encoding="utf-8", newline="\n")
     try:
         with file:
             file.write(render(lines))
-        os.replace(temp, path)
     except BaseException:
-        temp.unlink(missing_ok=True)
+        path.unlink(missing_ok=True)
         raise

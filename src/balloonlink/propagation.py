@@ -40,7 +40,10 @@ def wavelength_m(freq_mhz: float) -> float:
     """Free-space wavelength in meters for a carrier given in MHz."""
     if not 0.0 < freq_mhz < math.inf:
         raise ValueError("freq_mhz must be finite and > 0")
-    return SPEED_OF_LIGHT_M_S / (freq_mhz * 1e6)
+    wavelength = SPEED_OF_LIGHT_M_S / (freq_mhz * 1e6)
+    if wavelength == 0.0:  # the frequency in Hz overflowed
+        raise ValueError(f"wavelength at freq_mhz={freq_mhz:g} is beyond float range")
+    return wavelength
 
 
 def near_field_distance(antenna_dim_m: float, freq_mhz: float) -> float:

@@ -87,9 +87,9 @@ def load_scenario(path: str | Path) -> Scenario:
     """Read, parse and validate a scenario file.
 
     Raises OSError if the file cannot be read, ScenarioParseError for
-    text that is not UTF-8, malformed or too deeply nested JSON, and
-    ScenarioValidationError (listing every violation) for constraint
-    failures.
+    text that is not UTF-8, malformed or too deeply nested JSON and an
+    integer too long to parse, and ScenarioValidationError (listing every
+    violation) for constraint failures.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -101,6 +101,8 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioParseError(f"{path}: byte {exc.start}: not UTF-8 text") from exc
     except RecursionError as exc:
         raise ScenarioParseError(f"{path}: JSON nested too deeply") from exc
+    except ValueError as exc:  # the rest: an int past the interpreter's digit limit
+        raise ScenarioParseError(f"{path}: an integer with too many digits to parse") from exc
     return scenario_from_dict(raw)
 
 

@@ -138,6 +138,52 @@ class TestExposure:
         assert excinfo.value.code == 1
 
 
+class TestReplaceAll:
+    def test_unencodable_line_keeps_the_old_file_set(self, tmp_path):
+        old = {"a.csv": b"old,a\n", "b.csv": b"old,b\n"}
+        for name, content in old.items():
+            (tmp_path / name).write_bytes(content)
+        with pytest.raises(UnicodeEncodeError):
+            # a lone surrogate cannot be encoded
+            cli._replace_all(tmp_path, [("a.csv", ["new,a"]), ("b.csv", ["x", "\ud800"])])
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
+
+    def test_failed_write_removes_the_directories_it_created(self, run_cli, tmp_path, capsys, monkeypatch):
+        def full_disk(path, lines):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_csv", full_disk)
+        (tmp_path / "D").mkdir()
+        assert run_cli("table1", "--out", str(tmp_path / "D" / "new" / "sub")) == 2
+        assert capsys.readouterr().err == "I/O error: [Errno 28] No space left on device\n"
+        assert list((tmp_path / "D").iterdir()) == []
+
+    def test_file_at_a_staged_name_is_refused_and_kept(self, run_cli, tmp_path, capsys):
+        assert run_cli("table1", "--out", str(tmp_path)) == 0
+        old = (tmp_path / "table1.csv").read_bytes()
+        stage = tmp_path / f".table1.csv.{os.getpid()}.staged"
+        stage.write_bytes(b"not ours\n")
+        capsys.readouterr()
+        assert run_cli("table1", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == f"I/O error: [Errno 17] File exists: '{stage}'\n"
+        assert stage.read_bytes() == b"not ours\n"
+        assert (tmp_path / "table1.csv").read_bytes() == old
+
+    def test_directory_at_a_target_fails_before_any_rename(self, run_cli, write_scenario, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("exposure", "--out", str(out)) == 0
+        (out / "fig6.csv").unlink()
+        (out / "fig6.csv").mkdir()
+        old = {p.name: (p.read_bytes(), p.stat().st_ino) for p in out.iterdir() if p.is_file()}
+        assert len(old) == 4
+        scenario = write_scenario({"transmitter": {"power_w": 40.0, "freq_mhz": 900.0}})
+        capsys.readouterr()
+        assert run_cli("exposure", "--scenario", str(scenario), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"I/O error: [Errno 21] Is a directory: '{out / 'fig6.csv'}'\n"
+        assert {p.name: (p.read_bytes(), p.stat().st_ino) for p in out.iterdir() if p.is_file()} == old
+        assert sorted(p.name for p in out.iterdir()) == sorted(f"{figure}.csv" for figure in FIGURE_IDS)
+
+
 class TestCoverage:
     def test_reference_inversion(self, run_cli, tmp_path):
         assert (
@@ -657,6 +703,35 @@ class TestExitCodes:
         assert captured.err == "error: received power at freq_mhz=1e-300 is beyond float range\n"
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, code, named",
+        [
+            (("table1",), 1, "freq_mhz=1e+303"),
+            (("exposure",), 1, "freq_mhz=1e+303"),
+            (("coverage",), 1, "max_path_loss_db"),
+            (("green",), 0, None),
+            (("zones", "--densities", "1"), 0, None),
+            (("linkbudget",), 1, "freq_mhz=1e+303"),
+        ],
+        ids=["table1", "exposure", "coverage", "green", "zones-densities", "linkbudget"],
+    )
+    def test_frequency_overflowing_in_hz_names_freq_mhz(
+        self, run_cli, write_scenario, tmp_path, capsys, command, code, named
+    ):
+        # a valid frequency whose wavelength underflows to 0; green and
+        # zones --densities evaluate no range, so they need no wavelength
+        payload = {"transmitter": {"power_w": 20.0, "freq_mhz": 1e303}}
+        out = tmp_path / "out"
+        argv = (*command, "--scenario", str(write_scenario(payload)), "--out", str(out))
+        assert run_cli(*argv) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: ") and named in err
+            assert err.count("\n") == 1
+            assert not out.exists()
+        else:
+            assert err == ""
 
     def test_help_exits_zero(self, run_cli):
         with pytest.raises(SystemExit) as excinfo:

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -264,6 +265,16 @@ class TestParseErrors:
         with pytest.raises(scen.ScenarioParseError) as excinfo:
             scen.load_scenario(path)
         assert "line 3" in str(excinfo.value)
+
+    def test_int_too_long_to_parse_names_the_file(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"transmitter": {"power_w": 1' + "0" * 4400 + ', "freq_mhz": 900}}', encoding="utf-8")
+        with pytest.raises((scen.ScenarioParseError, scen.ScenarioValidationError)) as excinfo:
+            scen.load_scenario(path)
+        if hasattr(sys, "set_int_max_str_digits"):
+            assert str(excinfo.value) == f"{path}: an integer with too many digits to parse"
+        else:  # no digit limit: the int loads and fails its field's check
+            assert excinfo.value.problems == ("transmitter.power_w must be finite",)
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
