@@ -9,7 +9,13 @@ from __future__ import annotations
 
 import math
 
-from .propagation import POSITIVE, Record, hata_path_loss, hata_slope_db_per_decade
+from .propagation import (
+    HATA_FREQ_RANGE_MHZ,
+    POSITIVE,
+    Record,
+    hata_path_loss,
+    hata_slope_db_per_decade,
+)
 
 # Largest constellation laid out. Layout and adjacency are linear in the
 # count; the cap bounds the size of coverage.csv, one line per platform.
@@ -87,17 +93,17 @@ def cell_radius_from_budget(
         radius = 10.0**exponent
     except OverflowError:
         radius = math.inf
-    if radius * radius == math.inf:
-        raise ValueError(
-            f"max_path_loss_db={max_path_loss_db:g} is too large: the cell radius, "
-            f"10^{exponent:.6g} km, has an area beyond float range"
-        )
-    if radius * radius == 0.0:
-        raise ValueError(
-            f"max_path_loss_db={max_path_loss_db:g} is too small: the cell radius, "
-            f"10^{exponent:.6g} km, has an area below float range"
-        )
-    return radius
+    area = radius * radius
+    if 0.0 < area < math.inf:
+        return radius
+    size, side = ("large", "beyond") if area == math.inf else ("small", "below")
+    problem = f"max_path_loss_db={max_path_loss_db:g} is too {size}"
+    lo, hi = HATA_FREQ_RANGE_MHZ
+    if not lo <= freq_mhz <= hi:  # the frequency moved the radius as well
+        problem += f" for freq_mhz={freq_mhz:g}, outside the Hata range [{lo:g}, {hi:g}] MHz"
+    raise ValueError(
+        f"{problem}: the cell radius, 10^{exponent:.6g} km, has an area {side} float range"
+    )
 
 
 def constellation_layout(num_balloons: int, radius_km: float) -> Constellation:

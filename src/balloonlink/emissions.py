@@ -12,7 +12,7 @@ import enum
 import math
 
 from .coverage import replacement_count
-from .propagation import NON_NEGATIVE, Record
+from .propagation import NON_NEGATIVE, Record, _float_range_error
 
 HOURS_PER_YEAR = 8760.0
 
@@ -110,6 +110,24 @@ class GreenComparison(Record):
     }
 
 
+# The fields of a profile that one station's emissions multiply, per kind:
+# a consumption per hour and an emission factor.
+_EMISSION_FIELDS = {
+    SourceKind.DIESEL: ("fuel_liters_per_hour", "emission_factor_kg_per_liter"),
+    SourceKind.GRID: ("grid_kwh_per_hour", "grid_emission_kg_per_kwh"),
+}
+
+
+def _emission_inputs(profile: PowerSourceProfile, hours_per_year: float) -> dict:
+    """The factors of one emitting station's annual kg CO2, by name, in the order multiplied."""
+    rate, factor = _EMISSION_FIELDS[profile.source_kind]
+    return {
+        rate: getattr(profile, rate),
+        "hours_per_year": hours_per_year,
+        factor: getattr(profile, factor),
+    }
+
+
 def annual_emissions_tons(
     profile: PowerSourceProfile, hours_per_year: float = HOURS_PER_YEAR
 ) -> float:
@@ -118,11 +136,12 @@ def annual_emissions_tons(
         raise ValueError("hours_per_year must be finite and > 0")
     if profile.source_kind is SourceKind.SOLAR:
         return 0.0
-    if profile.source_kind is SourceKind.DIESEL:
-        kg = profile.fuel_liters_per_hour * hours_per_year * profile.emission_factor_kg_per_liter
-    else:
-        kg = profile.grid_kwh_per_hour * hours_per_year * profile.grid_emission_kg_per_kwh
-    return kg / 1000.0
+    inputs = _emission_inputs(profile, hours_per_year)
+    rate, hours, factor = inputs.values()
+    kg = rate * hours * factor
+    if kg < math.inf:  # also rejects NaN, an overflowed product times a zero
+        return kg / 1000.0
+    raise _float_range_error("annual emissions", inputs)
 
 
 def compare(
@@ -139,6 +158,15 @@ def compare(
     """
     replaced = replacement_count(balloon_radius_km, terrestrial_radius_km)
     terrestrial = replaced * annual_emissions_tons(terrestrial_profile, hours_per_year)
+    if terrestrial == math.inf:  # a finite station's emissions times a huge count
+        raise _float_range_error(
+            "terrestrial annual emissions",
+            {
+                "balloon_radius_km": balloon_radius_km,
+                "terrestrial_radius_km": terrestrial_radius_km,
+                **_emission_inputs(terrestrial_profile, hours_per_year),
+            },
+        )
     balloon = annual_emissions_tons(balloon_profile, hours_per_year)
     return GreenComparison(
         terrestrial_annual_tons=terrestrial,

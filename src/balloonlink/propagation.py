@@ -25,6 +25,12 @@ HATA_BS_HEIGHT_RANGE_M = (30.0, 200.0)
 HATA_DISTANCE_RANGE_KM = (1.0, 20.0)
 
 
+def _float_range_error(quantity: str, inputs: dict) -> ValueError:
+    """The error for a quantity beyond float range, naming the inputs to blame."""
+    named = ", ".join(f"{name}={value:g}" for name, value in inputs.items())
+    return ValueError(f"{quantity} at {named} is beyond float range")
+
+
 def db_to_linear(value_db: float) -> float:
     """Convert a decibel power ratio to linear: 10^(dB/10), finite and > 0."""
     try:
@@ -41,9 +47,9 @@ def wavelength_m(freq_mhz: float) -> float:
     if not 0.0 < freq_mhz < math.inf:
         raise ValueError("freq_mhz must be finite and > 0")
     wavelength = SPEED_OF_LIGHT_M_S / (freq_mhz * 1e6)
-    if wavelength == 0.0:  # the frequency in Hz overflowed
-        raise ValueError(f"wavelength at freq_mhz={freq_mhz:g} is beyond float range")
-    return wavelength
+    if 0.0 < wavelength < math.inf:  # 0 if the frequency in Hz overflowed, inf if it is tiny
+        return wavelength
+    raise _float_range_error("wavelength", {"freq_mhz": freq_mhz})
 
 
 def near_field_distance(antenna_dim_m: float, freq_mhz: float) -> float:
@@ -54,7 +60,12 @@ def near_field_distance(antenna_dim_m: float, freq_mhz: float) -> float:
     """
     if not 0.0 <= antenna_dim_m < math.inf:
         raise ValueError("antenna_dim_m must be finite and >= 0")
-    return 2.0 * antenna_dim_m * antenna_dim_m / wavelength_m(freq_mhz)
+    distance = 2.0 * antenna_dim_m * antenna_dim_m / wavelength_m(freq_mhz)
+    if distance < math.inf:
+        return distance
+    raise _float_range_error(
+        "near-field distance", {"antenna_dim_m": antenna_dim_m, "freq_mhz": freq_mhz}
+    )
 
 
 def hata_correction_small_city(freq_mhz: float, rx_antenna_height_m: float) -> float:
@@ -65,7 +76,12 @@ def hata_correction_small_city(freq_mhz: float, rx_antenna_height_m: float) -> f
     if not (0.0 < freq_mhz < math.inf and 0.0 < rx_antenna_height_m < math.inf):
         raise ValueError("freq_mhz and rx_antenna_height_m must be finite and > 0")
     log_f = math.log10(freq_mhz)
-    return (1.1 * log_f - 0.7) * rx_antenna_height_m - (1.56 * log_f - 0.8)
+    correction = (1.1 * log_f - 0.7) * rx_antenna_height_m - (1.56 * log_f - 0.8)
+    if abs(correction) < math.inf:
+        return correction
+    raise _float_range_error(
+        "Hata correction", {"freq_mhz": freq_mhz, "rx_antenna_height_m": rx_antenna_height_m}
+    )
 
 
 def hata_path_loss(
@@ -142,7 +158,12 @@ def slant_range(altitude_m: float, ground_offset_m: float) -> float:
         raise ValueError("altitude_m and ground_offset_m must be finite and >= 0")
     if altitude_m == 0.0 and ground_offset_m == 0.0:
         raise ValueError("altitude_m and ground_offset_m cannot both be 0")
-    return math.hypot(altitude_m, ground_offset_m)
+    distance = math.hypot(altitude_m, ground_offset_m)
+    if distance < math.inf:
+        return distance
+    raise _float_range_error(
+        "slant range", {"altitude_m": altitude_m, "ground_offset_m": ground_offset_m}
+    )
 
 
 def _check_field_inputs(power_w: float, gain_linear: float, range_m: float) -> None:
@@ -194,8 +215,7 @@ def _beyond_float_range(
             if product == math.inf:
                 culprits = inputs
                 break
-    named = ", ".join(f"{name}={value:g}" for name, value in culprits.items())
-    return ValueError(f"{quantity} at {named} is beyond float range")
+    return _float_range_error(quantity, culprits)
 
 
 def power_density(power_w: float, gain_linear: float, range_m: float) -> float:

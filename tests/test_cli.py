@@ -733,6 +733,75 @@ class TestExitCodes:
         else:
             assert err == ""
 
+    @pytest.mark.parametrize(
+        "command, code, named",
+        [
+            (("table1",), 1, "wavelength at freq_mhz=1.97626e-323"),
+            (("exposure",), 1, "wavelength at freq_mhz=1.97626e-323"),
+            (("coverage",), 1, "max_path_loss_db=140 is too large for freq_mhz=1.97626e-323"),
+            (("green",), 0, None),
+            (("zones", "--densities", "1"), 0, None),
+            (("linkbudget",), 1, "wavelength at freq_mhz=1.97626e-323"),
+        ],
+        ids=["table1", "exposure", "coverage", "green", "zones-densities", "linkbudget"],
+    )
+    def test_frequency_subnormal_in_hz_names_freq_mhz(
+        self, run_cli, write_scenario, tmp_path, capsys, command, code, named
+    ):
+        # a valid frequency whose wavelength overflows to inf
+        payload = {"transmitter": {"power_w": 20.0, "freq_mhz": 2e-323}}
+        out = tmp_path / "out"
+        argv = (*command, "--scenario", str(write_scenario(payload)), "--out", str(out))
+        assert run_cli(*argv) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: ") and named in err
+            assert err.count("\n") == 1
+            assert not out.exists()
+        else:
+            assert err == ""
+
+    @pytest.mark.parametrize(
+        "command, section, message",
+        [
+            (
+                ("table1",),
+                {"transmitter": {"power_w": 20.0, "freq_mhz": 900.0, "antenna_dim_m": 1.7e308}},
+                "near-field distance at antenna_dim_m=1.7e+308, freq_mhz=900",
+            ),
+            (
+                ("linkbudget",),
+                {"geometry": {"altitude_m": 1.7e308, "ground_offset_m": 1e308}},
+                "slant range at altitude_m=1.7e+308, ground_offset_m=1e+308",
+            ),
+            (
+                ("green",),
+                {
+                    "green": {
+                        "terrestrial": {
+                            "fuel_liters_per_hour": 1e300,
+                            "emission_factor_kg_per_liter": 1e300,
+                        }
+                    }
+                },
+                "annual emissions at fuel_liters_per_hour=1e+300, hours_per_year=8760, "
+                "emission_factor_kg_per_liter=1e+300",
+            ),
+        ],
+        ids=["near-field", "slant-range", "annual-emissions"],
+    )
+    def test_input_beyond_float_range_is_named(
+        self, run_cli, write_scenario, tmp_path, capsys, command, section, message
+    ):
+        payload = {"transmitter": {"power_w": 20.0, "freq_mhz": 900.0}, **section}
+        out = tmp_path / "out"
+        argv = (*command, "--scenario", str(write_scenario(payload)), "--out", str(out))
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message} is beyond float range\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_help_exits_zero(self, run_cli):
         with pytest.raises(SystemExit) as excinfo:
             run_cli("--help")

@@ -2,12 +2,12 @@
 
 import math
 import os
+import random
 import re
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from balloonlink import coverage as cov
@@ -20,20 +20,42 @@ def _lens_area(radius, distance):
     return 2.0 * radius**2 * half_angle - 0.5 * distance * math.sqrt(4.0 * radius**2 - distance**2)
 
 
-def _monte_carlo_union(constellation, samples=400_000, seed=42):
-    """Seeded sampling estimate of the area covered by at least one cell."""
-    radius = constellation.radius_km
-    xs = [x for x, _ in constellation.centers_km()]
-    ys = [y for _, y in constellation.centers_km()]
-    x_lo, x_hi = min(xs) - radius, max(xs) + radius
-    y_lo, y_hi = min(ys) - radius, max(ys) + radius
-    rng = np.random.default_rng(seed)
-    px = rng.uniform(x_lo, x_hi, samples)
-    py = rng.uniform(y_lo, y_hi, samples)
-    covered = np.zeros(samples, dtype=bool)
-    for x, y in zip(xs, ys):
-        covered |= (px - x) ** 2 + (py - y) ** 2 <= radius * radius
-    return (x_hi - x_lo) * (y_hi - y_lo) * float(covered.mean())
+def _exact_union_area(centers, radius):
+    """Area covered by at least one of the disks, by Green's theorem.
+
+    The union's boundary is made of the arcs of each circle that no other
+    disk covers; a hole's boundary is such arcs too, and runs clockwise
+    around the hole. A disk whose center lies d < 2R away at bearing phi
+    covers the bearings phi +- acos(d / 2R) of the circle. Over an uncovered
+    arc from bearing a to b of the circle about (cx, cy), (x dy - y dx) / 2
+    integrates to [R^2 (b - a) + R (cx (sin b - sin a) - cy (cos b - cos a))] / 2.
+    Any placement of distinct centers works, not only lattice sites.
+    """
+    two_pi = 2.0 * math.pi
+    area = 0.0
+    for i, (cx, cy) in enumerate(centers):
+        covered = []
+        for j, (ox, oy) in enumerate(centers):
+            distance = math.hypot(ox - cx, oy - cy)
+            if j != i and distance < 2.0 * radius:
+                half = math.acos(distance / (2.0 * radius))
+                start = (math.atan2(oy - cy, ox - cx) - half) % two_pi
+                end = start + 2.0 * half
+                if end > two_pi:  # split at bearing 0
+                    covered += [(start, two_pi), (0.0, end - two_pi)]
+                else:
+                    covered.append((start, end))
+        # bearings below reach are covered or summed; the sentinel ends the last gap at 2*pi
+        reach = 0.0
+        for start, end in [*sorted(covered), (two_pi, two_pi)]:
+            if start > reach:
+                a, b = reach, start
+                area += 0.5 * (
+                    radius * radius * (b - a)
+                    + radius * (cx * (math.sin(b) - math.sin(a)) - cy * (math.cos(b) - math.cos(a)))
+                )
+            reach = max(reach, end)
+    return area
 
 
 def _reference_linked_pairs(constellation):
@@ -64,23 +86,23 @@ class TestCellRadiusFromBudget:
         assert ten_x == pytest.approx(10.0 * base, rel=1e-9)
 
     def test_round_trip_random(self):
-        rng = np.random.default_rng(23)
+        rng = random.Random(23)
         for _ in range(300):
-            f = float(rng.uniform(150.0, 1500.0))
-            hte = float(rng.uniform(30.0, 440.0))
-            hre = float(rng.uniform(1.0, 10.0))
-            d = float(rng.uniform(1.0, 20.0))
+            f = rng.uniform(150.0, 1500.0)
+            hte = rng.uniform(30.0, 440.0)
+            hre = rng.uniform(1.0, 10.0)
+            d = rng.uniform(1.0, 20.0)
             loss = hata_path_loss(f, hte, hre, d)
             back = cov.cell_radius_from_budget(f, hte, hre, loss)
             assert abs(back - d) / d < 1e-9
 
     def test_loss_at_one_km_inverts_to_exactly_one_km(self):
         # the inverse takes its fixed terms from the forward model at D = 1 km
-        rng = np.random.default_rng(29)
+        rng = random.Random(29)
         for _ in range(2000):
-            f = float(10.0 ** rng.uniform(0.0, 4.0))
-            hte = float(10.0 ** rng.uniform(-1.0, 3.0))
-            hre = float(10.0 ** rng.uniform(-1.0, 2.0))
+            f = 10.0 ** rng.uniform(0.0, 4.0)
+            hte = 10.0 ** rng.uniform(-1.0, 3.0)
+            hre = 10.0 ** rng.uniform(-1.0, 2.0)
             assert cov.cell_radius_from_budget(f, hte, hre, hata_path_loss(f, hte, hre, 1.0)) == 1.0
 
     def test_strictly_increasing_in_budget(self):
@@ -94,6 +116,19 @@ class TestCellRadiusFromBudget:
         # slope 44.9 - 6.55*log10(h_te) turns negative above ~7.16e6 m
         with pytest.raises(ValueError):
             cov.cell_radius_from_budget(900.0, 1e8, 1.5, 140.0)
+
+    @pytest.mark.parametrize("freq_mhz, size", [(1e303, "small"), (2e-323, "large")])
+    def test_budget_error_names_a_frequency_outside_hata_range(self, freq_mhz, size):
+        problem = (
+            f"max_path_loss_db=140 is too {size} for freq_mhz={freq_mhz:g}, "
+            "outside the Hata range [150, 1500] MHz: "
+        )
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            cov.cell_radius_from_budget(freq_mhz, 200.0, 1.5, 140.0)
+
+    def test_budget_error_names_no_frequency_inside_hata_range(self):
+        with pytest.raises(ValueError, match=r"^max_path_loss_db=-1e\+06 is too small: "):
+            cov.cell_radius_from_budget(900.0, 200.0, 1.5, -1e6)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -216,11 +251,30 @@ class TestUnionArea:
             expected = count * math.pi * radius**2 - edges * lens
             assert cov.union_area_km2(constellation) == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("count", [1, 7, 19])
-    def test_agrees_with_monte_carlo(self, count):
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 19, 61, 127])
+    def test_agrees_with_exact_oracle(self, count):
         constellation = cov.constellation_layout(count, 1.5)
-        estimate = _monte_carlo_union(constellation)
-        assert cov.union_area_km2(constellation) == pytest.approx(estimate, rel=5e-3)
+        exact = _exact_union_area(constellation.centers_km(), constellation.radius_km)
+        assert cov.union_area_km2(constellation) == pytest.approx(exact, rel=1e-12)
+
+    def test_random_hexagon_subsets_agree_with_exact_oracle(self):
+        # any sites of the 127-cell hexagon: holes, chains, islands, not only rings
+        hexagon = cov.constellation_layout(127, 1.0).sites
+        rng = random.Random(5)
+        for _ in range(200):
+            sites = tuple(rng.sample(hexagon, rng.randint(1, len(hexagon))))
+            constellation = cov.Constellation(radius_km=10.0 ** rng.uniform(-3.0, 3.0), sites=sites)
+            exact = _exact_union_area(constellation.centers_km(), constellation.radius_km)
+            assert cov.union_area_km2(constellation) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("distance", [0.1, 1.0, math.sqrt(3.0), 1.99, 2.0, 3.0])
+    def test_exact_oracle_loses_one_lens_for_two_disks(self, distance):
+        # the oracle alone, off the lattice: two disks at a bearing of 2 rad
+        radius = 2.5
+        far_x, far_y = radius * distance * math.cos(2.0), radius * distance * math.sin(2.0)
+        lens = _lens_area(radius, radius * distance) if distance < 2.0 else 0.0
+        exact = _exact_union_area(((0.3, -0.4), (0.3 + far_x, -0.4 + far_y)), radius)
+        assert exact == pytest.approx(2.0 * math.pi * radius**2 - lens, rel=1e-12)
 
     def test_cli_import_leaves_numpy_unloaded(self):
         code = "import sys, balloonlink.cli; print('numpy' in sys.modules)"
@@ -254,7 +308,7 @@ class TestReplacementCount:
             assert cov.replacement_count(radius, radius) == 1
 
     def test_monotone_in_balloon_radius(self):
-        counts = [cov.replacement_count(r, 1.0) for r in np.linspace(0.5, 20.0, 50)]
+        counts = [cov.replacement_count(0.5 + 19.5 * i / 49, 1.0) for i in range(50)]
         assert all(b >= a for a, b in zip(counts, counts[1:]))
 
     def test_rejects_non_positive(self):
