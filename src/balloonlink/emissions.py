@@ -12,7 +12,7 @@ import enum
 import math
 
 from .coverage import replacement_count
-from .propagation import NON_NEGATIVE, Record, _float_range_error
+from .propagation import NON_NEGATIVE, Record, _finite, _float_range_error
 
 HOURS_PER_YEAR = 8760.0
 
@@ -26,6 +26,17 @@ class SourceKind(enum.Enum):
     DIESEL = "DIESEL"
     SOLAR = "SOLAR"
     GRID = "GRID"
+
+
+# The fields of a profile that one station's emissions multiply, per kind,
+# each with its unit: a consumption per hour and an emission factor.
+_EMISSION_FIELDS = {
+    SourceKind.DIESEL: (
+        ("fuel_liters_per_hour", "L/h"),
+        ("emission_factor_kg_per_liter", "kg CO2/L"),
+    ),
+    SourceKind.GRID: (("grid_kwh_per_hour", "kWh/h"), ("grid_emission_kg_per_kwh", "kg CO2/kWh")),
+}
 
 
 class PowerSourceProfile(Record):
@@ -55,17 +66,12 @@ class PowerSourceProfile(Record):
 
     def summary(self) -> str:
         """The kind and the fields it consumes, as green.csv and the CLI help print them."""
-        if self.source_kind is SourceKind.DIESEL:
-            return (
-                f"DIESEL {self.fuel_liters_per_hour:g} L/h "
-                f"at {self.emission_factor_kg_per_liter:g} kg CO2/L"
-            )
-        if self.source_kind is SourceKind.GRID:
-            return (
-                f"GRID {self.grid_kwh_per_hour:g} kWh/h "
-                f"at {self.grid_emission_kg_per_kwh:g} kg CO2/kWh"
-            )
-        return "SOLAR (zero emission)"
+        if self.source_kind is SourceKind.SOLAR:
+            return "SOLAR (zero emission)"
+        rate, factor = (
+            f"{getattr(self, key):g} {unit}" for key, unit in _EMISSION_FIELDS[self.source_kind]
+        )
+        return f"{self.source_kind.value} {rate} at {factor}"
 
 
 def diesel_profile(
@@ -110,17 +116,9 @@ class GreenComparison(Record):
     }
 
 
-# The fields of a profile that one station's emissions multiply, per kind:
-# a consumption per hour and an emission factor.
-_EMISSION_FIELDS = {
-    SourceKind.DIESEL: ("fuel_liters_per_hour", "emission_factor_kg_per_liter"),
-    SourceKind.GRID: ("grid_kwh_per_hour", "grid_emission_kg_per_kwh"),
-}
-
-
 def _emission_inputs(profile: PowerSourceProfile, hours_per_year: float) -> dict:
     """The factors of one emitting station's annual kg CO2, by name, in the order multiplied."""
-    rate, factor = _EMISSION_FIELDS[profile.source_kind]
+    (rate, _), (factor, _) = _EMISSION_FIELDS[profile.source_kind]
     return {
         rate: getattr(profile, rate),
         "hours_per_year": hours_per_year,
@@ -138,10 +136,8 @@ def annual_emissions_tons(
         return 0.0
     inputs = _emission_inputs(profile, hours_per_year)
     rate, hours, factor = inputs.values()
-    kg = rate * hours * factor
-    if kg < math.inf:  # also rejects NaN, an overflowed product times a zero
-        return kg / 1000.0
-    raise _float_range_error("annual emissions", inputs)
+    # an overflowed product times a zero is NaN, which _finite refuses too
+    return _finite("annual emissions", rate * hours * factor, **inputs) / 1000.0
 
 
 def compare(

@@ -91,13 +91,24 @@ class SweepSeries(Record):
         return tuple(p[1] for p in self.points)
 
 
-def _sample_axis(lo: float, hi: float, num_steps: int) -> list[float]:
-    """Uniform samples on [lo, hi] with both endpoints exact."""
+def _sample_axis(lo: float, hi: float, num_steps: int, axis: str = "x") -> list[float]:
+    """Uniform samples on [lo, hi], 0 <= lo < hi, with both endpoints exact.
+
+    Raises ValueError naming the axis when the samples are not strictly
+    ascending, that is when the step is below float resolution at hi.
+    """
     if num_steps < 2:
         raise ValueError("num_steps must be >= 2")
     step = (hi - lo) / (num_steps - 1)
     xs = [lo + i * step for i in range(num_steps)]
     xs[-1] = hi
+    # Each sample is within about one ulp(hi) of its exact value, so a step
+    # of a few ulp(hi) proves them ascending without a pass over them.
+    if step <= 4.0 * math.ulp(hi) and not all(a < b for a, b in zip(xs, xs[1:])):
+        raise ValueError(
+            f"{axis} sweep from {lo!r} to {hi!r} in {num_steps} steps "
+            "is finer than float resolution"
+        )
     return xs
 
 
@@ -150,7 +161,11 @@ def ground_density_profile(
         raise ValueError("altitude_m must be > 0")
     _check_non_negative("offset_max_m", offset_max_m)
     power, gain = tx.power_w, tx.linear_gain()
-    offsets = [0.0] if offset_max_m == 0.0 else _sample_axis(0.0, offset_max_m, num_steps)
+    offsets = (
+        [0.0]
+        if offset_max_m == 0.0
+        else _sample_axis(0.0, offset_max_m, num_steps, "ground_offset_m")
+    )
     return _sweep(
         f"ground power density, platform at {altitude_m:g} m",
         "ground_offset_m",
@@ -171,7 +186,7 @@ def altitude_density_profile(
     _check_range("altitude", altitude_min_m, altitude_max_m)
     _check_non_negative("ground_offset_m", ground_offset_m)
     power, gain = tx.power_w, tx.linear_gain()
-    altitudes = _sample_axis(altitude_min_m, altitude_max_m, num_steps)
+    altitudes = _sample_axis(altitude_min_m, altitude_max_m, num_steps, "altitude_m")
     return _sweep(
         f"power density vs platform altitude, offset {ground_offset_m:g} m",
         "altitude_m",
@@ -190,7 +205,7 @@ def range_density_profile(
     """Power density over a straight-line distance sweep (1/R^2 falloff)."""
     _check_range("range", range_min_m, range_max_m)
     power, gain = tx.power_w, tx.linear_gain()
-    ranges = _sample_axis(range_min_m, range_max_m, num_steps)
+    ranges = _sample_axis(range_min_m, range_max_m, num_steps, "range_m")
     return _sweep(
         "power density vs distance",
         "range_m",
@@ -214,7 +229,7 @@ def received_power_profile(
     power, tx_gain, freq_mhz = tx.power_w, tx.linear_gain(), tx.freq_mhz
     rx_gain = db_to_linear(rx_gain_db)
     lam = wavelength_m(freq_mhz)
-    altitudes = _sample_axis(altitude_min_m, altitude_max_m, num_steps)
+    altitudes = _sample_axis(altitude_min_m, altitude_max_m, num_steps, "altitude_m")
     return _sweep(
         f"received power vs platform altitude, offset {ground_offset_m:g} m",
         "altitude_m",

@@ -31,6 +31,13 @@ def _float_range_error(quantity: str, inputs: dict) -> ValueError:
     return ValueError(f"{quantity} at {named} is beyond float range")
 
 
+def _finite(quantity: str, value: float, /, **inputs: float) -> float:
+    """value if it is finite; else raise the float-range error for quantity naming inputs."""
+    if abs(value) < math.inf:  # also rejects NaN
+        return value
+    raise _float_range_error(quantity, inputs)
+
+
 def db_to_linear(value_db: float) -> float:
     """Convert a decibel power ratio to linear: 10^(dB/10), finite and > 0."""
     try:
@@ -61,11 +68,7 @@ def near_field_distance(antenna_dim_m: float, freq_mhz: float) -> float:
     if not 0.0 <= antenna_dim_m < math.inf:
         raise ValueError("antenna_dim_m must be finite and >= 0")
     distance = 2.0 * antenna_dim_m * antenna_dim_m / wavelength_m(freq_mhz)
-    if distance < math.inf:
-        return distance
-    raise _float_range_error(
-        "near-field distance", {"antenna_dim_m": antenna_dim_m, "freq_mhz": freq_mhz}
-    )
+    return _finite("near-field distance", distance, antenna_dim_m=antenna_dim_m, freq_mhz=freq_mhz)
 
 
 def hata_correction_small_city(freq_mhz: float, rx_antenna_height_m: float) -> float:
@@ -77,10 +80,8 @@ def hata_correction_small_city(freq_mhz: float, rx_antenna_height_m: float) -> f
         raise ValueError("freq_mhz and rx_antenna_height_m must be finite and > 0")
     log_f = math.log10(freq_mhz)
     correction = (1.1 * log_f - 0.7) * rx_antenna_height_m - (1.56 * log_f - 0.8)
-    if abs(correction) < math.inf:
-        return correction
-    raise _float_range_error(
-        "Hata correction", {"freq_mhz": freq_mhz, "rx_antenna_height_m": rx_antenna_height_m}
+    return _finite(
+        "Hata correction", correction, freq_mhz=freq_mhz, rx_antenna_height_m=rx_antenna_height_m
     )
 
 
@@ -129,22 +130,13 @@ def hata_validity_warnings(
     the classical base-station height limit.
     """
     warnings = []
-    lo, hi = HATA_FREQ_RANGE_MHZ
-    if not lo <= freq_mhz <= hi:
-        warnings.append(
-            f"freq_mhz={freq_mhz:g} outside Hata validity range [{lo:g}, {hi:g}] MHz"
-        )
-    lo, hi = HATA_BS_HEIGHT_RANGE_M
-    if not lo <= bs_antenna_height_m <= hi:
-        warnings.append(
-            f"bs_antenna_height_m={bs_antenna_height_m:g} outside Hata validity "
-            f"range [{lo:g}, {hi:g}] m"
-        )
-    lo, hi = HATA_DISTANCE_RANGE_KM
-    if not lo <= distance_km <= hi:
-        warnings.append(
-            f"distance_km={distance_km:g} outside Hata validity range [{lo:g}, {hi:g}] km"
-        )
+    for name, value, (lo, hi), unit in (
+        ("freq_mhz", freq_mhz, HATA_FREQ_RANGE_MHZ, "MHz"),
+        ("bs_antenna_height_m", bs_antenna_height_m, HATA_BS_HEIGHT_RANGE_M, "m"),
+        ("distance_km", distance_km, HATA_DISTANCE_RANGE_KM, "km"),
+    ):
+        if not lo <= value <= hi:
+            warnings.append(f"{name}={value:g} outside Hata validity range [{lo:g}, {hi:g}] {unit}")
     return tuple(warnings)
 
 
@@ -159,11 +151,7 @@ def slant_range(altitude_m: float, ground_offset_m: float) -> float:
     if altitude_m == 0.0 and ground_offset_m == 0.0:
         raise ValueError("altitude_m and ground_offset_m cannot both be 0")
     distance = math.hypot(altitude_m, ground_offset_m)
-    if distance < math.inf:
-        return distance
-    raise _float_range_error(
-        "slant range", {"altitude_m": altitude_m, "ground_offset_m": ground_offset_m}
-    )
+    return _finite("slant range", distance, altitude_m=altitude_m, ground_offset_m=ground_offset_m)
 
 
 def _check_field_inputs(power_w: float, gain_linear: float, range_m: float) -> None:

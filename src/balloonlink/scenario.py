@@ -242,7 +242,8 @@ def _profile(value, qualified: str, default_kind: SourceKind, problems: list[str
     section = _object(value, qualified, PowerSourceProfile._fields, problems)
     kind = section.get("source_kind", default_kind.value)
     if not (isinstance(kind, str) and kind.upper() in SourceKind.__members__):
-        problems.append(f"{qualified}.source_kind must be one of DIESEL, SOLAR, GRID")
+        kinds = ", ".join(SourceKind.__members__)
+        problems.append(f"{qualified}.source_kind must be one of {kinds}")
         return None
     defaults = _PROFILE_DEFAULTS[SourceKind[kind.upper()]]
     before = len(problems)
@@ -313,6 +314,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
     output_dir = raw.get("output_dir", ".")
     if not isinstance(output_dir, str) or not output_dir:
         problems.append("output_dir must be a non-empty string")
+    elif "\0" in output_dir:  # no file system path can hold one
+        problems.append("output_dir must not contain a NUL character")
 
     if problems:
         raise ScenarioValidationError(problems)

@@ -482,6 +482,125 @@ class TestNearFieldProducts:
         assert len(lines) == 2 + warnings
 
 
+# The one-line outcomes of bad or extreme scenario values, one row per case:
+# id -> (argv, scenario sections laid over VALID_TRANSMITTER, exit code, the
+# whole stderr line after its "error: ", or None where the run succeeds with
+# an empty stderr).
+VALID_TRANSMITTER = {"power_w": 20.0, "freq_mhz": 900.0}
+_F303 = {"transmitter": {"freq_mhz": 1e303}}  # the wavelength underflows to 0
+_F323 = {"transmitter": {"freq_mhz": 2e-323}}  # the wavelength overflows to inf
+_HUGE_PG = {"transmitter": {"power_w": 1e308, "gain_linear": 1e10}}
+_TINY_F = {"transmitter": {"freq_mhz": 1e-300}}  # lambda^2 overflows; the range is fine
+_NUL_DIR = {"output_dir": "a\u0000b"}  # refused even where --out overrides it
+ONE_LINE_ERRORS = {
+    "section-geometry": (("table1",), {"geometry": 3}, 1, "invalid scenario: geometry must be a JSON object"),
+    "section-solar-fuel": (
+        ("table1",), {"green": {"balloon": {"source_kind": "SOLAR", "fuel_liters_per_hour": 1.0}}}, 1,
+        "invalid scenario: green.balloon: a SOLAR profile must have all emission fields at 0"),
+    "section-profile-number": (
+        ("table1",), {"green": {"terrestrial": {"fuel_liters_per_hour": -1.0}}}, 1,
+        "invalid scenario: green.terrestrial.fuel_liters_per_hour must be >= 0"),
+    "section-source-kind": (
+        ("green",), {"green": {"terrestrial": {"source_kind": "COAL"}}}, 1,
+        "invalid scenario: green.terrestrial.source_kind must be one of DIESEL, SOLAR, GRID"),
+    "section-distances": (
+        ("table1",), {"sweeps": {"distances_m": 5}}, 1,
+        "invalid scenario: sweeps.distances_m must be a list of numbers"),
+    "section-output-dir-empty": (
+        ("table1",), {"output_dir": ""}, 1, "invalid scenario: output_dir must be a non-empty string"),
+    "section-output-dir-int": (
+        ("table1",), {"output_dir": 3}, 1, "invalid scenario: output_dir must be a non-empty string"),
+    "section-output-dir-nul-table1": (
+        ("table1",), _NUL_DIR, 1, "invalid scenario: output_dir must not contain a NUL character"),
+    "section-output-dir-nul-linkbudget": (
+        ("linkbudget",), _NUL_DIR, 1, "invalid scenario: output_dir must not contain a NUL character"),
+    "db-gain-overflow": (
+        ("table1",), {"transmitter": {"gain_db": 1e308}}, 1,
+        "value_db=1e+308 is out of range: 10^(dB/10) is not a float > 0"),
+    "db-rx-gain-linkbudget": (
+        ("linkbudget",), {"geometry": {"rx_gain_db": 5000}}, 1,
+        "value_db=5000 is out of range: 10^(dB/10) is not a float > 0"),
+    "db-rx-gain-fig8": (
+        ("exposure", "--figure", "fig8"), {"geometry": {"rx_gain_db": 5000}}, 1,
+        "value_db=5000 is out of range: 10^(dB/10) is not a float > 0"),
+    "db-gain-underflow": (
+        ("table1",), {"transmitter": {"gain_db": -4000}}, 1,
+        "value_db=-4000 is out of range: 10^(dB/10) is not a float > 0"),
+    "infinite-green": (
+        ("green",),
+        {"green": {"terrestrial": {
+            "source_kind": "GRID", "grid_kwh_per_hour": 1.5e308, "grid_emission_kg_per_kwh": 2}}},
+        1,
+        "annual emissions at grid_kwh_per_hour=1.5e+308, hours_per_year=8760, "
+        "grid_emission_kg_per_kwh=2 is beyond float range"),
+    "infinite-table1": (
+        ("table1",), _HUGE_PG, 1, "power density at power_w=1e+308, gain_linear=1e+10 is beyond float range"),
+    "infinite-fig7": (
+        ("exposure", "--figure", "fig7"), _HUGE_PG, 1,
+        "power density at power_w=1e+308, gain_linear=1e+10 is beyond float range"),
+    "underflow-table1": (
+        ("table1",), {"sweeps": {"distances_m": [1e-200]}}, 1,
+        "power density at range_m=1e-200 is beyond float range"),
+    "underflow-fig7": (
+        ("exposure", "--figure", "fig7"), {"sweeps": {"range": {"min": 1e-200, "max": 1e-190}}}, 1,
+        "power density at range_m=1e-200 is beyond float range"),
+    "wavelength-fig8": (
+        ("exposure", "--figure", "fig8"), _TINY_F, 1,
+        "received power at freq_mhz=1e-300 is beyond float range"),
+    "wavelength-linkbudget": (
+        ("linkbudget",), _TINY_F, 1, "received power at freq_mhz=1e-300 is beyond float range"),
+    # green and zones --densities evaluate no range, so they need no wavelength
+    "freq-1e303-table1": (("table1",), _F303, 1, "wavelength at freq_mhz=1e+303 is beyond float range"),
+    "freq-1e303-exposure": (("exposure",), _F303, 1, "wavelength at freq_mhz=1e+303 is beyond float range"),
+    "freq-1e303-coverage": (
+        ("coverage",), _F303, 1,
+        "max_path_loss_db=140 is too small for freq_mhz=1e+303, outside the Hata range [150, 1500] MHz: "
+        "the cell radius, 10^-261.403 km, has an area below float range"),
+    "freq-1e303-green": (("green",), _F303, 0, None),
+    "freq-1e303-zones-densities": (("zones", "--densities", "1"), _F303, 0, None),
+    "freq-1e303-linkbudget": (
+        ("linkbudget",), _F303, 1, "wavelength at freq_mhz=1e+303 is beyond float range"),
+    "freq-2e-323-table1": (
+        ("table1",), _F323, 1, "wavelength at freq_mhz=1.97626e-323 is beyond float range"),
+    "freq-2e-323-exposure": (
+        ("exposure",), _F323, 1, "wavelength at freq_mhz=1.97626e-323 is beyond float range"),
+    "freq-2e-323-coverage": (
+        ("coverage",), _F323, 1,
+        "max_path_loss_db=140 is too large for freq_mhz=1.97626e-323, outside the Hata range "
+        "[150, 1500] MHz: the cell radius, 10^285.464 km, has an area beyond float range"),
+    "freq-2e-323-green": (("green",), _F323, 0, None),
+    "freq-2e-323-zones-densities": (("zones", "--densities", "1"), _F323, 0, None),
+    "freq-2e-323-linkbudget": (
+        ("linkbudget",), _F323, 1, "wavelength at freq_mhz=1.97626e-323 is beyond float range"),
+    "beyond-near-field": (
+        ("table1",), {"transmitter": {"antenna_dim_m": 1.7e308}}, 1,
+        "near-field distance at antenna_dim_m=1.7e+308, freq_mhz=900 is beyond float range"),
+    "beyond-slant-range": (
+        ("linkbudget",), {"geometry": {"altitude_m": 1.7e308, "ground_offset_m": 1e308}}, 1,
+        "slant range at altitude_m=1.7e+308, ground_offset_m=1e+308 is beyond float range"),
+    "beyond-hata-correction": (
+        ("linkbudget",), {"geometry": {"rx_antenna_height_m": 1.7e308}}, 1,
+        "Hata correction at freq_mhz=900, rx_antenna_height_m=1.7e+308 is beyond float range"),
+    "beyond-annual-emissions": (
+        ("green",),
+        {"green": {"terrestrial": {"fuel_liters_per_hour": 1e300, "emission_factor_kg_per_liter": 1e300}}},
+        1,
+        "annual emissions at fuel_liters_per_hour=1e+300, hours_per_year=8760, "
+        "emission_factor_kg_per_liter=1e+300 is beyond float range"),
+    # valid sweeps whose step is below float resolution at the upper end
+    "sweep-altitude-finer-than-float": (
+        ("exposure",), {"sweeps": {"altitude": {"min": 200, "max": 200.00000000000006, "steps": 101}}}, 1,
+        "altitude_m sweep from 200.0 to 200.00000000000006 in 101 steps is finer than float resolution"),
+    "sweep-range-finer-than-float": (
+        ("exposure", "--figure", "fig7"),
+        {"sweeps": {"range": {"min": 10, "max": 10.000000000000002, "steps": 5}}}, 1,
+        "range_m sweep from 10.0 to 10.000000000000002 in 5 steps is finer than float resolution"),
+    "sweep-ground-offset-finer-than-float": (
+        ("exposure", "--figure", "fig4"), {"sweeps": {"ground_offset": {"max": 5e-324}}}, 1,
+        "ground_offset_m sweep from 0.0 to 5e-324 in 101 steps is finer than float resolution"),
+}
+
+
 class TestExitCodes:
     def test_missing_scenario_file_is_io_error(self, run_cli, tmp_path, capsys):
         assert run_cli("table1", "--scenario", str(tmp_path / "nope.json")) == 2
@@ -494,32 +613,19 @@ class TestExitCodes:
         assert run_cli("table1", "--scenario", str(path)) == 1
         assert "power_w must be > 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "section, problem",
-        [
-            ({"geometry": 3}, "geometry must be a JSON object"),
-            (
-                {"green": {"balloon": {"source_kind": "SOLAR", "fuel_liters_per_hour": 1.0}}},
-                "green.balloon: a SOLAR profile must have all emission fields at 0",
-            ),
-            (
-                {"green": {"terrestrial": {"fuel_liters_per_hour": -1.0}}},
-                "green.terrestrial.fuel_liters_per_hour must be >= 0",
-            ),
-            ({"sweeps": {"distances_m": 5}}, "sweeps.distances_m must be a list of numbers"),
-            ({"output_dir": ""}, "output_dir must be a non-empty string"),
-            ({"output_dir": 3}, "output_dir must be a non-empty string"),
-        ],
-        ids=["geometry", "solar-fuel", "profile-number", "distances", "output-dir-empty", "output-dir-int"],
-    )
-    def test_invalid_section_is_one_line(
-        self, run_cli, write_scenario, tmp_path, capsys, section, problem
-    ):
-        payload = {"transmitter": {"power_w": 20.0, "freq_mhz": 900.0}, **section}
+    @pytest.mark.parametrize("argv, sections, code, message", ONE_LINE_ERRORS.values(), ids=ONE_LINE_ERRORS)
+    def test_one_line_outcome(self, run_cli, write_scenario, tmp_path, capsys, argv, sections, code, message):
+        payload = {**sections, "transmitter": {**VALID_TRANSMITTER, **sections.get("transmitter", {})}}
         out = tmp_path / "out"
-        assert run_cli("table1", "--scenario", str(write_scenario(payload)), "--out", str(out)) == 1
-        assert capsys.readouterr().err == f"error: invalid scenario: {problem}\n"
-        assert not out.exists()
+        assert run_cli(*argv, "--scenario", str(write_scenario(payload)), "--out", str(out)) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err == f"error: {message}\n"
+            assert captured.out == ""
+            assert not out.exists()
+        else:
+            assert captured.err == ""
+            assert sorted(captured.out.splitlines()) == sorted(f"wrote {path}" for path in out.iterdir())
 
     def test_malformed_json_is_validation_error(self, run_cli, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -602,205 +708,6 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             run_cli()
         assert excinfo.value.code == 1
-
-    @pytest.mark.parametrize(
-        "command, transmitter, geometry, parameter",
-        [
-            (("table1",), {"gain_db": 1e308}, {}, "value_db=1e+308"),
-            (("linkbudget",), {}, {"rx_gain_db": 5000}, "value_db=5000"),
-            (("exposure", "--figure", "fig8"), {}, {"rx_gain_db": 5000}, "value_db=5000"),
-            (("table1",), {"gain_db": -4000}, {}, "value_db=-4000"),
-        ],
-        ids=["gain-overflow", "rx-gain-linkbudget", "rx-gain-fig8", "gain-underflow"],
-    )
-    def test_db_out_of_float_range_names_value_db(
-        self, run_cli, write_scenario, tmp_path, capsys, command, transmitter, geometry, parameter
-    ):
-        payload = {
-            "transmitter": {"power_w": 20.0, "freq_mhz": 900.0, **transmitter},
-            "geometry": geometry,
-        }
-        out = tmp_path / "out"
-        argv = (*command, "--scenario", str(write_scenario(payload)), "--out", str(out))
-        assert run_cli(*argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {parameter} is out of range")
-        assert err.count("\n") == 1
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "command, payload, written",
-        [
-            (
-                ("green",),
-                {
-                    "transmitter": {"power_w": 20.0, "freq_mhz": 900.0},
-                    "green": {
-                        "terrestrial": {
-                            "source_kind": "GRID",
-                            "grid_kwh_per_hour": 1.5e308,
-                            "grid_emission_kg_per_kwh": 2,
-                        }
-                    },
-                },
-                "green.csv",
-            ),
-            (
-                ("table1",),
-                {"transmitter": {"power_w": 1e308, "gain_linear": 1e10, "freq_mhz": 900.0}},
-                "table1.csv",
-            ),
-            (
-                ("exposure", "--figure", "fig7"),
-                {"transmitter": {"power_w": 1e308, "gain_linear": 1e10, "freq_mhz": 900.0}},
-                "fig7.csv",
-            ),
-        ],
-        ids=["green", "table1", "fig7"],
-    )
-    def test_infinite_result_is_validation_error(
-        self, run_cli, write_scenario, tmp_path, capsys, command, payload, written
-    ):
-        out = tmp_path / "out"
-        argv = (*command, "--scenario", str(write_scenario(payload)), "--out", str(out))
-        assert run_cli(*argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert err.count("\n") == 1
-        assert not (out / written).exists()
-
-    @pytest.mark.parametrize(
-        "command, sweeps, written",
-        [
-            (("table1",), {"distances_m": [1e-200]}, "table1.csv"),
-            (("exposure", "--figure", "fig7"), {"range": {"min": 1e-200, "max": 1e-190}}, "fig7.csv"),
-        ],
-        ids=["table1", "fig7"],
-    )
-    def test_underflowing_range_names_range_m(
-        self, run_cli, write_scenario, tmp_path, capsys, command, sweeps, written
-    ):
-        payload = {"transmitter": {"power_w": 20.0, "freq_mhz": 900.0}, "sweeps": sweeps}
-        out = tmp_path / "out"
-        argv = (*command, "--scenario", str(write_scenario(payload)), "--out", str(out))
-        assert run_cli(*argv) == 1
-        err = capsys.readouterr().err
-        assert err == "error: power density at range_m=1e-200 is beyond float range\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "command", [("exposure", "--figure", "fig8"), ("linkbudget",)], ids=["fig8", "linkbudget"]
-    )
-    def test_overflowing_wavelength_names_freq_mhz(
-        self, run_cli, write_scenario, tmp_path, capsys, command
-    ):
-        # lambda^2 overflows at a tiny but valid frequency; the range is fine
-        payload = {"transmitter": {"power_w": 20.0, "freq_mhz": 1e-300}}
-        out = tmp_path / "out"
-        argv = (*command, "--scenario", str(write_scenario(payload)), "--out", str(out))
-        assert run_cli(*argv) == 1
-        captured = capsys.readouterr()
-        assert captured.err == "error: received power at freq_mhz=1e-300 is beyond float range\n"
-        assert captured.out == ""
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "command, code, named",
-        [
-            (("table1",), 1, "freq_mhz=1e+303"),
-            (("exposure",), 1, "freq_mhz=1e+303"),
-            (("coverage",), 1, "max_path_loss_db"),
-            (("green",), 0, None),
-            (("zones", "--densities", "1"), 0, None),
-            (("linkbudget",), 1, "freq_mhz=1e+303"),
-        ],
-        ids=["table1", "exposure", "coverage", "green", "zones-densities", "linkbudget"],
-    )
-    def test_frequency_overflowing_in_hz_names_freq_mhz(
-        self, run_cli, write_scenario, tmp_path, capsys, command, code, named
-    ):
-        # a valid frequency whose wavelength underflows to 0; green and
-        # zones --densities evaluate no range, so they need no wavelength
-        payload = {"transmitter": {"power_w": 20.0, "freq_mhz": 1e303}}
-        out = tmp_path / "out"
-        argv = (*command, "--scenario", str(write_scenario(payload)), "--out", str(out))
-        assert run_cli(*argv) == code
-        err = capsys.readouterr().err
-        if code:
-            assert err.startswith("error: ") and named in err
-            assert err.count("\n") == 1
-            assert not out.exists()
-        else:
-            assert err == ""
-
-    @pytest.mark.parametrize(
-        "command, code, named",
-        [
-            (("table1",), 1, "wavelength at freq_mhz=1.97626e-323"),
-            (("exposure",), 1, "wavelength at freq_mhz=1.97626e-323"),
-            (("coverage",), 1, "max_path_loss_db=140 is too large for freq_mhz=1.97626e-323"),
-            (("green",), 0, None),
-            (("zones", "--densities", "1"), 0, None),
-            (("linkbudget",), 1, "wavelength at freq_mhz=1.97626e-323"),
-        ],
-        ids=["table1", "exposure", "coverage", "green", "zones-densities", "linkbudget"],
-    )
-    def test_frequency_subnormal_in_hz_names_freq_mhz(
-        self, run_cli, write_scenario, tmp_path, capsys, command, code, named
-    ):
-        # a valid frequency whose wavelength overflows to inf
-        payload = {"transmitter": {"power_w": 20.0, "freq_mhz": 2e-323}}
-        out = tmp_path / "out"
-        argv = (*command, "--scenario", str(write_scenario(payload)), "--out", str(out))
-        assert run_cli(*argv) == code
-        err = capsys.readouterr().err
-        if code:
-            assert err.startswith("error: ") and named in err
-            assert err.count("\n") == 1
-            assert not out.exists()
-        else:
-            assert err == ""
-
-    @pytest.mark.parametrize(
-        "command, section, message",
-        [
-            (
-                ("table1",),
-                {"transmitter": {"power_w": 20.0, "freq_mhz": 900.0, "antenna_dim_m": 1.7e308}},
-                "near-field distance at antenna_dim_m=1.7e+308, freq_mhz=900",
-            ),
-            (
-                ("linkbudget",),
-                {"geometry": {"altitude_m": 1.7e308, "ground_offset_m": 1e308}},
-                "slant range at altitude_m=1.7e+308, ground_offset_m=1e+308",
-            ),
-            (
-                ("green",),
-                {
-                    "green": {
-                        "terrestrial": {
-                            "fuel_liters_per_hour": 1e300,
-                            "emission_factor_kg_per_liter": 1e300,
-                        }
-                    }
-                },
-                "annual emissions at fuel_liters_per_hour=1e+300, hours_per_year=8760, "
-                "emission_factor_kg_per_liter=1e+300",
-            ),
-        ],
-        ids=["near-field", "slant-range", "annual-emissions"],
-    )
-    def test_input_beyond_float_range_is_named(
-        self, run_cli, write_scenario, tmp_path, capsys, command, section, message
-    ):
-        payload = {"transmitter": {"power_w": 20.0, "freq_mhz": 900.0}, **section}
-        out = tmp_path / "out"
-        argv = (*command, "--scenario", str(write_scenario(payload)), "--out", str(out))
-        assert run_cli(*argv) == 1
-        captured = capsys.readouterr()
-        assert captured.err == f"error: {message} is beyond float range\n"
-        assert captured.out == ""
-        assert not out.exists()
 
     def test_help_exits_zero(self, run_cli):
         with pytest.raises(SystemExit) as excinfo:

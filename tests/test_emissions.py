@@ -25,6 +25,18 @@ class TestProfiles:
         assert em.solar_profile().source_kind is em.SourceKind.SOLAR
         assert em.grid_profile(1.5).grid_emission_kg_per_kwh == 0.82
 
+    @pytest.mark.parametrize(
+        "profile, summary",
+        [
+            (em.diesel_profile(), "DIESEL 2 L/h at 2.68 kg CO2/L"),
+            (em.grid_profile(1.5), "GRID 1.5 kWh/h at 0.82 kg CO2/kWh"),
+            (em.solar_profile(), "SOLAR (zero emission)"),
+        ],
+        ids=["diesel", "grid", "solar"],
+    )
+    def test_summary_names_each_consumed_field_with_its_unit(self, profile, summary):
+        assert profile.summary() == summary
+
 
 class TestAnnualEmissions:
     def test_solar_is_exactly_zero(self):

@@ -172,11 +172,11 @@ class TestHataValidityWarnings:
         assert prop.hata_validity_warnings(900.0, 100.0, 5.0) == ()
 
     def test_flags_each_excursion(self):
-        warnings = prop.hata_validity_warnings(2400.0, 440.0, 0.15)
-        assert len(warnings) == 3
-        assert any("freq_mhz" in w for w in warnings)
-        assert any("bs_antenna_height_m" in w for w in warnings)
-        assert any("distance_km" in w for w in warnings)
+        assert prop.hata_validity_warnings(2400.0, 440.0, 0.15) == (
+            "freq_mhz=2400 outside Hata validity range [150, 1500] MHz",
+            "bs_antenna_height_m=440 outside Hata validity range [30, 200] m",
+            "distance_km=0.15 outside Hata validity range [1, 20] km",
+        )
 
     def test_boundaries_are_inclusive(self):
         assert prop.hata_validity_warnings(150.0, 200.0, 20.0) == ()
