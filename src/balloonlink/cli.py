@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from itertools import chain, takewhile
+from itertools import takewhile
 from pathlib import Path
 
 from . import __version__
@@ -150,13 +150,15 @@ def _exposure(s: Scenario, args: argparse.Namespace):
         lines = [*extra, f"# series: {series.label}; abscissa: {series.abscissa_name}"]
         lines.append("abscissa,value,unit")
         # All rows as one block: a row template repeated once per point and
-        # filled by a single % over the flattened points. A %-conversion with
-        # fmt's spec is the same C conversion as fmt(v), so the bytes are
-        # fmt's; the block holds no trailing LF, because render joins the
-        # lines with LF.
-        if series.points:
-            rows = f"%{_FLOAT_SPEC},%{_FLOAT_SPEC},{unit}\n" * len(series.points)
-            lines.append(rows[:-1] % tuple(chain.from_iterable(series.points)))
+        # filled by a single % over the two columns, interleaved. A
+        # %-conversion with fmt's spec is the same C conversion as fmt(v), so
+        # the bytes are fmt's; the block holds no trailing LF, because render
+        # joins the lines with LF.
+        if series.values:
+            cells = [0.0] * (2 * len(series.values))
+            cells[::2], cells[1::2] = series.abscissas, series.values
+            rows = f"%{_FLOAT_SPEC},%{_FLOAT_SPEC},{unit}\n" * len(series.values)
+            lines.append(rows[:-1] % tuple(cells))
         yield f"{figure}.csv", lines, shortest_range(s)
 
 

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
+from functools import lru_cache
+from itertools import chain, islice, repeat
 
 from .propagation import (
     POSITIVE,
@@ -74,34 +77,54 @@ def classify_zone(density_w_m2: float, thresholds: ZoneThresholds) -> ExposureZo
 
 
 class SweepSeries(Record):
-    """An ordered 1-D profile: (abscissa, value) pairs plus labeling."""
+    """An ordered 1-D profile: a column of abscissas, one of values, and labels.
+
+    The abscissas ascend strictly and are finite; the values are finite and
+    >= 0. ``points`` pairs the two columns up.
+    """
 
     label: str
     abscissa_name: str
-    points: tuple[tuple[float, float], ...] = ()
+    abscissas: tuple[float, ...] = ()
+    values: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        previous = -math.inf
-        for x, y in self.points:
+        xs, ys = self.abscissas, self.values
+        if len(xs) != len(ys):
+            raise ValueError(f"{self.label}: {len(xs)} abscissas but {len(ys)} values")
+        # C-level passes over the columns; only a failed check walks the
+        # points, to name the first bad one
+        if not xs or (
+            -math.inf < xs[0]
+            and xs[-1] < math.inf
+            and all(map(operator.lt, xs, islice(xs, 1, None)))
+            and all(map(math.isfinite, ys))
+            and min(ys) >= 0.0
+        ):
+            return
+        for previous, x, y in zip(chain((-math.inf,), xs), xs, ys):
             if not (previous < x < math.inf and 0.0 <= y < math.inf):
                 raise ValueError(f"{self.label}: point {(x, y)} is out of order, not finite or < 0")
-            previous = x
 
-    def values(self) -> tuple[float, ...]:
-        return tuple(p[1] for p in self.points)
+    @property
+    def points(self) -> tuple[tuple[float, float], ...]:
+        """The (abscissa, value) pairs, built on each read."""
+        return tuple(zip(self.abscissas, self.values))
 
 
-def _sample_axis(lo: float, hi: float, num_steps: int, axis: str = "x") -> list[float]:
-    """Uniform samples on [lo, hi], 0 <= lo < hi, with both endpoints exact.
+@lru_cache(maxsize=3, typed=True)
+def _sample_axis(lo: float, hi: float, num_steps: int, axis: str = "x") -> tuple[float, ...]:
+    """Uniform float samples on [lo, hi], 0 <= lo < hi, with both endpoints exact.
 
     Raises ValueError naming the axis when the samples are not strictly
-    ascending, that is when the step is below float resolution at hi.
+    ascending, that is when the step is below float resolution at hi. The
+    last three axes are kept, so profiles over one axis share its samples.
     """
     if num_steps < 2:
         raise ValueError("num_steps must be >= 2")
     step = (hi - lo) / (num_steps - 1)
     xs = [lo + i * step for i in range(num_steps)]
-    xs[-1] = hi
+    xs[-1] = float(hi)
     # Each sample is within about one ulp(hi) of its exact value, so a step
     # of a few ulp(hi) proves them ascending without a pass over them.
     if step <= 4.0 * math.ulp(hi) and not all(a < b for a, b in zip(xs, xs[1:])):
@@ -109,20 +132,20 @@ def _sample_axis(lo: float, hi: float, num_steps: int, axis: str = "x") -> list[
             f"{axis} sweep from {lo!r} to {hi!r} in {num_steps} steps "
             "is finer than float resolution"
         )
-    return xs
+    return tuple(xs)
 
 
 def _sweep(label: str, abscissa_name: str, xs, single_point, values) -> SweepSeries:
-    """The series of (x, value) over the ascending abscissas xs.
+    """The series of single_point(x) over the ascending abscissas xs.
 
-    single_point(x), the checked public call, runs at both ends first; then
-    values() evaluates every x through the unchecked kernel that call ends
-    in. Every profile is monotone in x, so finite values at both ends prove
-    each value between them finite.
+    single_point(x), the checked public call, runs at both ends first; only
+    then is values, a lazy map of the unchecked kernel that call ends in
+    over xs, drained into the value column. Every profile is monotone in x,
+    so finite values at both ends prove each value between them finite.
     """
     single_point(xs[0])
     single_point(xs[-1])
-    return SweepSeries(label, abscissa_name, tuple(zip(xs, values())))
+    return SweepSeries(label, abscissa_name, xs, tuple(values))
 
 
 def _check_range(axis: str, lo: float, hi: float) -> None:
@@ -162,7 +185,7 @@ def ground_density_profile(
     _check_non_negative("offset_max_m", offset_max_m)
     power, gain = tx.power_w, tx.linear_gain()
     offsets = (
-        [0.0]
+        (0.0,)
         if offset_max_m == 0.0
         else _sample_axis(0.0, offset_max_m, num_steps, "ground_offset_m")
     )
@@ -171,7 +194,7 @@ def ground_density_profile(
         "ground_offset_m",
         offsets,
         lambda d: power_density(power, gain, slant_range(altitude_m, d)),
-        lambda: [_power_density(power, gain, math.hypot(altitude_m, d)) for d in offsets],
+        map(_power_density, repeat(power), repeat(gain), map(math.hypot, repeat(altitude_m), offsets)),
     )
 
 
@@ -192,7 +215,7 @@ def altitude_density_profile(
         "altitude_m",
         altitudes,
         lambda a: power_density(power, gain, slant_range(a, ground_offset_m)),
-        lambda: [_power_density(power, gain, math.hypot(a, ground_offset_m)) for a in altitudes],
+        map(_power_density, repeat(power), repeat(gain), map(math.hypot, altitudes, repeat(ground_offset_m))),
     )
 
 
@@ -211,7 +234,7 @@ def range_density_profile(
         "range_m",
         ranges,
         lambda r: power_density(power, gain, r),
-        lambda: [_power_density(power, gain, r) for r in ranges],
+        map(_power_density, repeat(power), repeat(gain), ranges),
     )
 
 
@@ -235,8 +258,12 @@ def received_power_profile(
         "altitude_m",
         altitudes,
         lambda a: received_power(power, tx_gain, rx_gain, freq_mhz, slant_range(a, ground_offset_m)),
-        lambda: [
-            _received_power(power, tx_gain, rx_gain, lam, math.hypot(a, ground_offset_m))
-            for a in altitudes
-        ],
+        map(
+            _received_power,
+            repeat(power),
+            repeat(tx_gain),
+            repeat(rx_gain),
+            repeat(lam),
+            map(math.hypot, altitudes, repeat(ground_offset_m)),
+        ),
     )

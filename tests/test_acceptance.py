@@ -40,7 +40,7 @@ def test_criterion_2_ground_profile_maxima():
     assert abs(peak_150 - 3.537e-3) / 3.537e-3 < 1e-3
     # quoted as 1.98e-3, computed 1.989e-3: rounded in the source, 1% window
     assert abs(peak_200 - 1.98e-3) / 1.98e-3 < 0.01
-    assert max(exp.ground_density_profile(TX, 150.0, 25.0).values()) == peak_150
+    assert max(exp.ground_density_profile(TX, 150.0, 25.0).values) == peak_150
     print("criterion 2 PASS: profile maxima 3.537e-3 (150 m) and 1.98e-3 (200 m)")
 
 
@@ -106,22 +106,22 @@ def test_criterion_5_algebraic_identities_1000_inputs():
 def test_criterion_6_sweep_shapes():
     """Sweeps decrease strictly; doubling altitude quarters density; peak at 0."""
     altitude_series = exp.altitude_density_profile(TX, 200.0, 400.0, 0.0)
-    values = altitude_series.values()
+    values = altitude_series.values
     assert all(b < a for a, b in zip(values, values[1:]))
     assert abs(values[-1] - values[0] / 4.0) / values[-1] < 1e-12
 
     received_series = exp.received_power_profile(TX, 0.0, 200.0, 400.0, 0.0)
-    received_values = received_series.values()
+    received_values = received_series.values
     assert all(b < a for a, b in zip(received_values, received_values[1:]))
 
     distance_series = exp.range_density_profile(TX, 10.0, 500.0)
-    distance_values = distance_series.values()
+    distance_values = distance_series.values
     assert all(b < a for a, b in zip(distance_values, distance_values[1:]))
 
     for altitude in (100.0, 150.0, 200.0, 350.0):
         ground = exp.ground_density_profile(TX, altitude, 25.0)
         assert ground.points[0][0] == 0.0
-        assert max(ground.values()) == ground.points[0][1]
+        assert max(ground.values) == ground.points[0][1]
     print("criterion 6 PASS: monotone sweeps, exact 1/4 ratio, peak under platform")
 
 

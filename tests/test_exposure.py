@@ -1,6 +1,7 @@
 """Unit tests for exposure tables, sweep profiles and zone classification."""
 
 import math
+import re
 
 import pytest
 
@@ -46,7 +47,7 @@ class TestGroundDensityProfile:
         series = exp.ground_density_profile(TX, 150.0, 25.0)
         assert series.points[0][0] == 0.0
         assert series.points[0][1] == pytest.approx(3.5367765131532297e-3, rel=1e-12)
-        assert max(series.values()) == series.points[0][1]
+        assert max(series.values) == series.points[0][1]
 
     def test_peak_at_200m_altitude(self):
         series = exp.ground_density_profile(TX, 200.0, 25.0)
@@ -59,7 +60,7 @@ class TestGroundDensityProfile:
         assert last_value == power_density(20.0, 50.0, slant_range(150.0, 25.0))
 
     def test_strictly_decreasing_in_offset(self):
-        values = exp.ground_density_profile(TX, 150.0, 25.0).values()
+        values = exp.ground_density_profile(TX, 150.0, 25.0).values
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_zero_altitude_rejected(self):
@@ -88,7 +89,7 @@ class TestAltitudeDensityProfile:
         assert series.points[0][1] == pytest.approx(1.9894367886486917e-3, rel=1e-12)
 
     def test_strictly_decreasing(self):
-        values = exp.altitude_density_profile(TX, 200.0, 400.0, 0.0).values()
+        values = exp.altitude_density_profile(TX, 200.0, 400.0, 0.0).values
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_inverted_range_rejected(self):
@@ -105,7 +106,7 @@ class TestRangeDensityProfile:
             assert value == power_density(20.0, 50.0, r)
 
     def test_strictly_decreasing(self):
-        values = exp.range_density_profile(TX, 10.0, 500.0).values()
+        values = exp.range_density_profile(TX, 10.0, 500.0).values
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
@@ -128,7 +129,7 @@ class TestReceivedPowerProfile:
             assert d == pytest.approx(2.0 * b, rel=1e-12)
 
     def test_strictly_decreasing(self):
-        values = exp.received_power_profile(TX, 0.0, 200.0, 400.0, 0.0).values()
+        values = exp.received_power_profile(TX, 0.0, 200.0, 400.0, 0.0).values
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
@@ -166,20 +167,60 @@ class TestSweepArguments:
 class TestSweepSeriesInvariants:
     def test_non_increasing_abscissas_rejected(self):
         with pytest.raises(ValueError):
-            exp.SweepSeries(label="x", abscissa_name="r", points=((0.0, 1.0), (0.0, 0.5)))
+            exp.SweepSeries(label="x", abscissa_name="r", abscissas=(0.0, 0.0), values=(1.0, 0.5))
 
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):
-            exp.SweepSeries(label="x", abscissa_name="r", points=((0.0, -1.0),))
+            exp.SweepSeries(label="x", abscissa_name="r", abscissas=(0.0,), values=(-1.0,))
 
     @pytest.mark.parametrize(
-        "points",
-        [((0.0, math.nan),), ((math.nan, 1.0), (0.0, 1.0)), ((0.0, math.inf),)],
-        ids=["nan-value", "nan-abscissa", "inf-value"],
+        "abscissas, values",
+        [
+            ((0.0,), (math.nan,)),
+            ((math.nan, 0.0), (1.0, 1.0)),
+            ((0.0,), (math.inf,)),
+            ((-math.inf, 0.0), (1.0, 1.0)),
+            ((0.0, math.inf), (1.0, 1.0)),
+        ],
+        ids=["nan-value", "nan-abscissa", "inf-value", "-inf-first-abscissa", "inf-last-abscissa"],
     )
-    def test_non_finite_points_rejected(self, points):
+    def test_non_finite_points_rejected(self, abscissas, values):
         with pytest.raises(ValueError, match="^x: point"):
-            exp.SweepSeries("x", "r", points)
+            exp.SweepSeries("x", "r", abscissas, values)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [(5000.0, math.nan), (5000.0, math.inf), (5000.0, -1.0), (4999.0, 1.0)],
+        ids=["nan-value", "inf-value", "negative-value", "repeated-abscissa"],
+    )
+    def test_bad_point_in_a_long_column_is_named(self, x, y):
+        xs, ys = [float(i) for i in range(10001)], [1.0] * 10001
+        xs[5000], ys[5000] = x, y
+        message = f"x: point {(x, y)} is out of order, not finite or < 0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            exp.SweepSeries("x", "r", tuple(xs), tuple(ys))
+
+    def test_columns_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError, match="^x: 2 abscissas but 1 values$"):
+            exp.SweepSeries("x", "r", (0.0, 1.0), (1.0,))
+
+    def test_points_pair_the_columns(self):
+        series = exp.ground_density_profile(TX, 150.0, 25.0, num_steps=11)
+        assert len(series.points) == 11
+        assert series.points == tuple(zip(series.abscissas, series.values))
+        with pytest.raises(AttributeError):
+            series.points = ()
+
+    def test_profiles_over_one_axis_share_its_samples(self):
+        fig4 = exp.ground_density_profile(TX, 150.0, 25.0)
+        fig5 = exp.ground_density_profile(TX, 200.0, 25.0)
+        assert fig4.abscissas is fig5.abscissas
+
+    def test_sampled_axis_is_float_whatever_the_argument_types(self):
+        assert exp._sample_axis(1.0, 2.0, 3) == (1.0, 1.5, 2.0)
+        samples = exp._sample_axis(1, 2, 3)
+        assert samples == (1.0, 1.5, 2.0)
+        assert all(type(x) is float for x in samples)
 
 
 class TestZones:
