@@ -66,6 +66,13 @@ def _comma_floats(text: str) -> list[float]:
     return values
 
 
+def _path(text: str) -> Path:
+    # Path("") is ".", a directory the user never named
+    if not text:
+        raise argparse.ArgumentTypeError("expected a non-empty path")
+    return Path(text)
+
+
 # The figure builders and renderers name the layer functions in their
 # bodies, so a module global rebound at run time (a tracer) sees each call.
 # A sweep calls the public propagation scalars only for the checks at the
@@ -296,10 +303,10 @@ PRODUCTS = {
 # flags every subcommand takes
 _COMMON_FLAGS = {
     "--scenario": dict(
-        type=Path, metavar="PATH", help="scenario JSON file (default: bundled default scenario)"
+        type=_path, metavar="PATH", help="scenario JSON file (default: bundled default scenario)"
     ),
     "--out": dict(
-        type=Path, metavar="DIR", help="output directory (default: the scenario's output_dir)"
+        type=_path, metavar="DIR", help="output directory (default: the scenario's output_dir)"
     ),
 }
 

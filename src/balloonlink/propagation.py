@@ -167,38 +167,39 @@ def _check_field_inputs(power_w: float, gain_linear: float, range_m: float) -> N
 # The unchecked field kernels. Each public field function below checks its
 # inputs, then returns its kernel's value, so a sweep that checks its inputs
 # once can call a kernel per point and still match the single-point call bit
-# for bit.
+# for bit. The inverse-square law is stated once, in _power_density, which
+# divides by 4*pi*R and then by R; Friis is that density times the receive
+# aperture Gr*lambda^2/(4*pi). No kernel squares the range, so for a positive
+# finite range neither raises: a value too small for a float rounds to 0 or
+# a subnormal, and one too large is inf, which the public function reports.
 _FOUR_PI = 4.0 * math.pi
 
 
 def _power_density(power_w: float, gain_linear: float, range_m: float) -> float:
-    return power_w * gain_linear / (_FOUR_PI * range_m * range_m)
-
-
-def _e_field_rms(power_w: float, gain_linear: float, range_m: float) -> float:
-    return math.sqrt(30.0 * power_w * gain_linear) / range_m
+    return power_w * gain_linear / (_FOUR_PI * range_m) / range_m
 
 
 def _received_power(
     power_w: float, tx_gain_linear: float, rx_gain_linear: float, lam: float, range_m: float
 ) -> float:
-    return power_w * tx_gain_linear * rx_gain_linear * lam * lam / (_FOUR_PI * range_m) ** 2
+    return _power_density(power_w, tx_gain_linear, range_m) * (rx_gain_linear * lam * lam / _FOUR_PI)
 
 
 def _beyond_float_range(
-    quantity: str, range_m: float, denominator: float, *factors: tuple[float, dict]
+    quantity: str, range_m: float, range_term: float, *factors: tuple[float, dict]
 ) -> ValueError:
     """The error for a field value beyond float range, naming the inputs to blame.
 
-    denominator is the kernel's range term (R, 4*pi*R^2 or (4*pi*R)^2),
-    recomputed so that it cannot raise. If it is 0 or inf, range_m is to
-    blame; otherwise the inputs of the first (product, {name: value})
-    factor that overflowed are, and if none did, range_m is (a finite
-    numerator over a tiny range). Only a failed call builds this error, so
-    a call that succeeds pays nothing for the diagnosis.
+    range_term is the law's whole range dependence as one float: R for the
+    E-field, 4*pi*R*R for the density and the received power, whose kernels
+    never form it. If it is 0 or inf, range_m is to blame; otherwise the
+    inputs of the first (product, {name: value}) factor that overflowed are,
+    and if none did, range_m is (a finite numerator over a tiny range). Only
+    a failed call builds this error, so a call that succeeds pays nothing
+    for the diagnosis.
     """
     culprits = {"range_m": range_m}
-    if 0.0 < denominator < math.inf:
+    if 0.0 < range_term < math.inf:
         for product, inputs in factors:
             if product == math.inf:
                 culprits = inputs
@@ -209,12 +210,9 @@ def _beyond_float_range(
 def power_density(power_w: float, gain_linear: float, range_m: float) -> float:
     """Free-space power density P*G / (4*pi*R^2), in W/m^2."""
     _check_field_inputs(power_w, gain_linear, range_m)
-    try:
-        density = _power_density(power_w, gain_linear, range_m)
-        if density < math.inf:  # also rejects NaN, an infinite P*G over an infinite R^2
-            return density
-    except ZeroDivisionError:  # R^2 underflowed to 0
-        pass
+    density = _power_density(power_w, gain_linear, range_m)
+    if density < math.inf:  # also rejects NaN, an infinite P*G over an infinite 4*pi*R
+        return density
     raise _beyond_float_range(
         "power density",
         range_m,
@@ -226,7 +224,7 @@ def power_density(power_w: float, gain_linear: float, range_m: float) -> float:
 def e_field_rms(power_w: float, gain_linear: float, range_m: float) -> float:
     """Rms electric field sqrt(30*P*G) / R, in V/m."""
     _check_field_inputs(power_w, gain_linear, range_m)
-    field = _e_field_rms(power_w, gain_linear, range_m)
+    field = math.sqrt(30.0 * power_w * gain_linear) / range_m
     if field < math.inf:
         return field
     raise _beyond_float_range(
@@ -249,19 +247,15 @@ def received_power(
     if not 0.0 < rx_gain_linear < math.inf:
         raise ValueError("rx_gain_linear must be finite and > 0")
     lam = wavelength_m(freq_mhz)
-    try:
-        power = _received_power(power_w, tx_gain_linear, rx_gain_linear, lam, range_m)
-        if power < math.inf:
-            return power
-    except (ZeroDivisionError, OverflowError):  # (4*pi*R)^2 left float range
-        pass
-    four_pi_r = _FOUR_PI * range_m
+    power = _received_power(power_w, tx_gain_linear, rx_gain_linear, lam, range_m)
+    if power < math.inf:  # also rejects NaN, a zero density or aperture times an infinite one
+        return power
     gains = power_w * tx_gain_linear * rx_gain_linear
     inputs = {"power_w": power_w, "tx_gain_linear": tx_gain_linear, "rx_gain_linear": rx_gain_linear}
     raise _beyond_float_range(
         "received power",
         range_m,
-        four_pi_r * four_pi_r,
+        _FOUR_PI * range_m * range_m,
         (lam * lam, {"freq_mhz": freq_mhz}),
         (gains, inputs),
         # each factor finite, their product not

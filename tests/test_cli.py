@@ -16,7 +16,12 @@ from balloonlink import __main__ as balloonlink_main
 from balloonlink import cli
 from balloonlink import scenario as scen
 from balloonlink.cli import FIGURE_IDS
-from balloonlink.propagation import TransmitterConfig, wavelength_m
+from balloonlink.propagation import (
+    FREE_SPACE_IMPEDANCE_OHM,
+    TransmitterConfig,
+    link_budget,
+    wavelength_m,
+)
 
 TABLE1_GOLDEN = """\
 # warning: gain_linear=50 overrides gain_db=17
@@ -390,6 +395,18 @@ class TestLinkBudget:
         assert all(math.isfinite(value) for value in values)
         assert 0.0 < values[1] < sys.float_info.min
 
+    def test_density_below_float_range_agrees_with_the_field(self, run_cli, write_scenario, capsys):
+        # at R = 1e160 m the density, ~8e-319 W/m^2, is subnormal: reported, not refused
+        path = write_scenario({"transmitter": VALID_TRANSMITTER, "geometry": {"altitude_m": 1e160}})
+        assert run_cli("linkbudget", "--scenario", str(path)) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "range_m,1.00000e+160" in captured.out.splitlines()
+        s = scen.load_scenario(path)
+        result = link_budget(s.transmitter, s.geometry)
+        implied = result.e_field_v_m**2 / FREE_SPACE_IMPEDANCE_OHM
+        assert 0.0 < result.power_density_w_m2 == pytest.approx(implied, rel=1e-12)
+
 
 # The shortest range each product evaluates in NEAR_FIELD_PAYLOAD, in m.
 NEAR_FIELD_PAYLOAD = {
@@ -492,6 +509,8 @@ _F323 = {"transmitter": {"freq_mhz": 2e-323}}  # the wavelength overflows to inf
 _HUGE_PG = {"transmitter": {"power_w": 1e308, "gain_linear": 1e10}}
 _TINY_F = {"transmitter": {"freq_mhz": 1e-300}}  # lambda^2 overflows; the range is fine
 _NUL_DIR = {"output_dir": "a\u0000b"}  # refused even where --out overrides it
+# a field too small for a float is 0 in fig6 and in fig8 alike
+_ALTITUDE_TO_1E300 = {"sweeps": {"altitude": {"min": 200.0, "max": 1e300, "steps": 3}}}
 ONE_LINE_ERRORS = {
     "section-geometry": (("table1",), {"geometry": 3}, 1, "invalid scenario: geometry must be a JSON object"),
     "section-solar-fuel": (
@@ -544,6 +563,8 @@ ONE_LINE_ERRORS = {
     "underflow-fig7": (
         ("exposure", "--figure", "fig7"), {"sweeps": {"range": {"min": 1e-200, "max": 1e-190}}}, 1,
         "power density at range_m=1e-200 is beyond float range"),
+    "altitude-1e300-fig6": (("exposure", "--figure", "fig6"), _ALTITUDE_TO_1E300, 0, None),
+    "altitude-1e300-fig8": (("exposure", "--figure", "fig8"), _ALTITUDE_TO_1E300, 0, None),
     "wavelength-fig8": (
         ("exposure", "--figure", "fig8"), _TINY_F, 1,
         "received power at freq_mhz=1e-300 is beyond float range"),
@@ -626,6 +647,28 @@ class TestExitCodes:
         else:
             assert captured.err == ""
             assert sorted(captured.out.splitlines()) == sorted(f"wrote {path}" for path in out.iterdir())
+
+    @pytest.mark.parametrize("figure", ["fig6", "fig8"])
+    def test_altitude_beyond_float_range_writes_zero(self, run_cli, write_scenario, tmp_path, figure):
+        path = write_scenario({**_ALTITUDE_TO_1E300, "transmitter": VALID_TRANSMITTER})
+        assert run_cli("exposure", "--figure", figure, "--scenario", str(path), "--out", str(tmp_path)) == 0
+        # the series line, the header and the row at 200 m come first
+        rows = (tmp_path / f"{figure}.csv").read_text().splitlines()[3:]
+        assert [row.split(",")[:2] for row in rows] == [
+            ["5.00000e+299", "0.00000e+00"],
+            ["1.00000e+300", "0.00000e+00"],
+        ]
+
+    @pytest.mark.parametrize("flag", ["--out", "--scenario"])
+    def test_empty_path_is_usage_error(self, run_cli, tmp_path, monkeypatch, capsys, flag):
+        # Path("") would be ".": the working directory, which the user never named
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("table1", flag, "")
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert err.endswith(f"balloonlink table1: error: argument {flag}: expected a non-empty path\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_malformed_json_is_validation_error(self, run_cli, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -4,6 +4,7 @@ import functools
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -514,7 +515,6 @@ _BEYOND_FLOAT_RANGE = {
     "subnormal-range": ("e_field_rms", dict(range_m=1e-320)),
     "result-overflows": ("received_power", dict(range_m=1e-160)),
     "(4piR)^2-underflows": ("received_power", dict(range_m=1e-200)),
-    "(4piR)^2-overflows": ("received_power", dict(range_m=1e160)),
 }
 
 
@@ -550,8 +550,8 @@ _BEYOND_FLOAT_RANGE_ELSEWHERE = {
     ),
     "PGtGr-lambda^2-overflows": (
         "received_power",
-        dict(power_w=1e10, freq_mhz=1e-150, range_m=200.0),
-        "received power at power_w=1e+10, tx_gain_linear=1, rx_gain_linear=1, freq_mhz=1e-150",
+        dict(power_w=1e12, freq_mhz=1e-150, range_m=200.0),
+        "received power at power_w=1e+12, tx_gain_linear=1, rx_gain_linear=1, freq_mhz=1e-150",
     ),
 }
 
@@ -564,6 +564,35 @@ def test_field_beyond_float_range_names_the_overflowed_input(name, overrides, na
     with pytest.raises(ValueError) as excinfo:
         function(**{**kwargs, **overrides})
     assert str(excinfo.value) == f"{named} is beyond float range"
+
+
+# The program's double 4*pi as a rational: the exact field laws over it are
+# the oracle at every range a float can hold.
+_EXACT_FOUR_PI = Fraction(prop._FOUR_PI)
+
+
+def test_field_laws_match_the_exact_value_or_go_to_zero():
+    # a field at least the smallest normal float is returned to 1e-9, and one
+    # below it is 0 or a subnormal; neither law raises
+    rng = random.Random(2019)
+    for _ in range(20_000):
+        power_w, tx_gain, rx_gain, freq_mhz = (
+            10.0 ** rng.uniform(lo, hi) for lo, hi in ((-3, 4), (-1, 4), (-1, 2), (1, 5))
+        )
+        range_m = 10.0 ** rng.uniform(0, 300)
+        density = Fraction(power_w) * Fraction(tx_gain) / (_EXACT_FOUR_PI * Fraction(range_m) ** 2)
+        lam = Fraction(prop.wavelength_m(freq_mhz))
+        for value, exact in (
+            (prop.power_density(power_w, tx_gain, range_m), density),
+            (
+                prop.received_power(power_w, tx_gain, rx_gain, freq_mhz, range_m),
+                density * Fraction(rx_gain) * lam * lam / _EXACT_FOUR_PI,
+            ),
+        ):
+            if exact >= sys.float_info.min:
+                assert value == pytest.approx(float(exact), rel=1e-9)
+            else:
+                assert 0.0 <= value < sys.float_info.min
 
 
 class TestRecord:
