@@ -31,7 +31,7 @@ from .exposure import (
     received_power_profile,
     table_one,
 )
-from .propagation import Record, hata_validity_warnings, link_budget, power_density, slant_range
+from .propagation import Record, hata_validity_warnings, link_budget, power_density
 from .scenario import DEFAULTS_HELP, Scenario, default_scenario_path, load_scenario
 
 EXIT_OK = 0
@@ -215,7 +215,7 @@ def _zones(s: Scenario, args: argparse.Namespace):
     if densities is None:
         # default: classify the peak ground density, directly under the platform
         tx, range_m = s.transmitter, s.geometry.altitude_m
-        densities = [power_density(tx.power_w, tx.linear_gain(), slant_range(range_m, 0.0))]
+        densities = [power_density(tx.power_w, tx.linear_gain(), range_m)]
     lines = ["density_w_m2,zone"]
     lines.extend(f"{fmt(d)},{classify_zone(d, s.thresholds).name}" for d in densities)
     yield "zones.csv", lines, range_m
@@ -420,7 +420,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, ArithmeticError) as exc:
-        # ArithmeticError: inputs whose result overflows a float or an int
+        # ArithmeticError is a safety net: every overflow the code knows of
+        # is a ValueError naming its inputs, and a new one is still one line
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK

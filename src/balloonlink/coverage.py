@@ -158,10 +158,7 @@ def union_area_km2(constellation: Constellation) -> float:
     """
     unit_lens = math.pi / 3.0 - math.sqrt(3.0) / 2.0
     unit_union = len(constellation.sites) * math.pi - len(linked_pairs(constellation)) * unit_lens
-    try:
-        area = constellation.radius_km**2 * unit_union
-    except OverflowError:
-        area = math.inf
+    area = constellation.radius_km * constellation.radius_km * unit_union
     if area == math.inf:
         raise ValueError(
             f"radius_km={constellation.radius_km:g} is too large: the union area is beyond float range"
@@ -182,10 +179,8 @@ def replacement_count(balloon_radius_km: float, terrestrial_radius_km: float) ->
     ):
         if not 0.0 < radius < math.inf:
             raise ValueError(f"{name}={radius:g} must be finite and > 0")
-    try:
-        ratio = (balloon_radius_km / terrestrial_radius_km) ** 2
-    except OverflowError:
-        ratio = math.inf
+    ratio = balloon_radius_km / terrestrial_radius_km
+    ratio *= ratio
     if not ratio < math.inf:
         raise ValueError(
             f"balloon_radius_km={balloon_radius_km:g} over terrestrial_radius_km="

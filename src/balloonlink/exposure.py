@@ -138,10 +138,12 @@ def _sample_axis(lo: float, hi: float, num_steps: int, axis: str = "x") -> tuple
 def _sweep(label: str, abscissa_name: str, xs, single_point, values) -> SweepSeries:
     """The series of single_point(x) over the ascending abscissas xs.
 
-    single_point(x), the checked public call, runs at both ends first; only
-    then is values, a lazy map of the unchecked kernel that call ends in
-    over xs, drained into the value column. Every profile is monotone in x,
-    so finite values at both ends prove each value between them finite.
+    values is a lazy map, over xs, of the unchecked kernel that the checked
+    public call single_point(x) ends in; it is drained into the value
+    column, and SweepSeries checks every value. single_point runs at both
+    ends first to name the error: every profile is monotone in x, so a value
+    beyond float range is one at an end, and the public call names the
+    inputs to blame where SweepSeries could only name the point.
     """
     single_point(xs[0])
     single_point(xs[-1])

@@ -185,26 +185,19 @@ def _received_power(
     return _power_density(power_w, tx_gain_linear, range_m) * (rx_gain_linear * lam * lam / _FOUR_PI)
 
 
-def _beyond_float_range(
-    quantity: str, range_m: float, range_term: float, *factors: tuple[float, dict]
-) -> ValueError:
+def _beyond_float_range(quantity: str, range_m: float, *factors: tuple[float, dict]) -> ValueError:
     """The error for a field value beyond float range, naming the inputs to blame.
 
-    range_term is the law's whole range dependence as one float: R for the
-    E-field, 4*pi*R*R for the density and the received power, whose kernels
-    never form it. If it is 0 or inf, range_m is to blame; otherwise the
-    inputs of the first (product, {name: value}) factor that overflowed are,
-    and if none did, range_m is (a finite numerator over a tiny range). Only
-    a failed call builds this error, so a call that succeeds pays nothing
-    for the diagnosis.
+    factors are the law's numerator factors as (product, {name: value})
+    pairs, in the order the law forms them. The inputs of the first one that
+    overflowed are to blame; if none did, range_m is (a finite numerator
+    over a range too small for the law). Only a failed call builds this
+    error, so a call that succeeds pays nothing for the diagnosis.
     """
-    culprits = {"range_m": range_m}
-    if 0.0 < range_term < math.inf:
-        for product, inputs in factors:
-            if product == math.inf:
-                culprits = inputs
-                break
-    return _float_range_error(quantity, culprits)
+    for product, inputs in factors:
+        if product == math.inf:
+            return _float_range_error(quantity, inputs)
+    return _float_range_error(quantity, {"range_m": range_m})
 
 
 def power_density(power_w: float, gain_linear: float, range_m: float) -> float:
@@ -216,7 +209,6 @@ def power_density(power_w: float, gain_linear: float, range_m: float) -> float:
     raise _beyond_float_range(
         "power density",
         range_m,
-        _FOUR_PI * range_m * range_m,
         (power_w * gain_linear, {"power_w": power_w, "gain_linear": gain_linear}),
     )
 
@@ -229,7 +221,6 @@ def e_field_rms(power_w: float, gain_linear: float, range_m: float) -> float:
         return field
     raise _beyond_float_range(
         "rms E-field",
-        range_m,
         range_m,
         (30.0 * power_w * gain_linear, {"power_w": power_w, "gain_linear": gain_linear}),
     )
@@ -250,12 +241,13 @@ def received_power(
     power = _received_power(power_w, tx_gain_linear, rx_gain_linear, lam, range_m)
     if power < math.inf:  # also rejects NaN, a zero density or aperture times an infinite one
         return power
+    if power_w == 0.0:  # 0 W, even where the aperture is inf and the product NaN
+        return 0.0
     gains = power_w * tx_gain_linear * rx_gain_linear
     inputs = {"power_w": power_w, "tx_gain_linear": tx_gain_linear, "rx_gain_linear": rx_gain_linear}
     raise _beyond_float_range(
         "received power",
         range_m,
-        _FOUR_PI * range_m * range_m,
         (lam * lam, {"freq_mhz": freq_mhz}),
         (gains, inputs),
         # each factor finite, their product not
@@ -430,7 +422,9 @@ class LinkBudgetResult(Record):
         # Relative tolerance 1e-12, but never finer than 1e-12 of the smallest
         # normal float: one unit in the last place of a subnormal P_d can be
         # more than 1e-12 of it. A zero density needs E^2 / (120*pi) <= ~2e-320.
-        implied = self.e_field_v_m**2 / FREE_SPACE_IMPEDANCE_OHM
+        # E^2 overflows above E ~ 1.3e154 V/m, where P_d is still a float;
+        # E * (E / (120*pi)) stays a float up to P_d ~ 1.8e308 W/m^2.
+        implied = self.e_field_v_m * (self.e_field_v_m / FREE_SPACE_IMPEDANCE_OHM)
         scale = max(self.power_density_w_m2, sys.float_info.min)
         if not abs(implied - self.power_density_w_m2) <= 1e-12 * scale:
             raise ValueError("e_field_v_m inconsistent with power_density_w_m2")

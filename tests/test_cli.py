@@ -501,8 +501,8 @@ class TestNearFieldProducts:
 
 # The one-line outcomes of bad or extreme scenario values, one row per case:
 # id -> (argv, scenario sections laid over VALID_TRANSMITTER, exit code, the
-# whole stderr line after its "error: ", or None where the run succeeds with
-# an empty stderr).
+# whole stderr line after its "error: "; where the run succeeds with an empty
+# stderr, None for a file product, or for linkbudget a row its stdout holds).
 VALID_TRANSMITTER = {"power_w": 20.0, "freq_mhz": 900.0}
 _F303 = {"transmitter": {"freq_mhz": 1e303}}  # the wavelength underflows to 0
 _F323 = {"transmitter": {"freq_mhz": 2e-323}}  # the wavelength overflows to inf
@@ -511,6 +511,10 @@ _TINY_F = {"transmitter": {"freq_mhz": 1e-300}}  # lambda^2 overflows; the range
 _NUL_DIR = {"output_dir": "a\u0000b"}  # refused even where --out overrides it
 # a field too small for a float is 0 in fig6 and in fig8 alike
 _ALTITUDE_TO_1E300 = {"sweeps": {"altitude": {"min": 200.0, "max": 1e300, "steps": 3}}}
+# E^2 overflows a float here, but the density E*(E/(120*pi)), 1.00464e+307 W/m^2, does not
+_E_SQUARED_OVERFLOWS = {
+    "transmitter": {"power_w": 1e8, "gain_linear": 100}, "geometry": {"altitude_m": 8.9e-150}
+}
 ONE_LINE_ERRORS = {
     "section-geometry": (("table1",), {"geometry": 3}, 1, "invalid scenario: geometry must be a JSON object"),
     "section-solar-fuel": (
@@ -568,6 +572,12 @@ ONE_LINE_ERRORS = {
     "wavelength-fig8": (
         ("exposure", "--figure", "fig8"), _TINY_F, 1,
         "received power at freq_mhz=1e-300 is beyond float range"),
+    "wavelength-at-huge-range-fig8": (
+        ("exposure", "--figure", "fig8"),
+        {"transmitter": {"freq_mhz": 1e-160}, "geometry": {"ground_offset_m": 1e160}}, 1,
+        "received power at freq_mhz=1e-160 is beyond float range"),
+    "e-field-squared-overflows-linkbudget": (
+        ("linkbudget",), _E_SQUARED_OVERFLOWS, 0, "e_field_v_m,6.15419e+154"),
     "wavelength-linkbudget": (
         ("linkbudget",), _TINY_F, 1, "received power at freq_mhz=1e-300 is beyond float range"),
     # green and zones --densities evaluate no range, so they need no wavelength
@@ -646,7 +656,11 @@ class TestExitCodes:
             assert not out.exists()
         else:
             assert captured.err == ""
-            assert sorted(captured.out.splitlines()) == sorted(f"wrote {path}" for path in out.iterdir())
+            if message is None:
+                assert sorted(captured.out.splitlines()) == sorted(f"wrote {path}" for path in out.iterdir())
+            else:
+                assert message in captured.out.splitlines()
+                assert not out.exists()
 
     @pytest.mark.parametrize("figure", ["fig6", "fig8"])
     def test_altitude_beyond_float_range_writes_zero(self, run_cli, write_scenario, tmp_path, figure):
@@ -789,6 +803,15 @@ class TestReadme:
         assert commands == set(cli.PRODUCTS)
         assert tuple(re.findall(r"^\| (fig\d+) ", readme, re.MULTILINE)) == FIGURE_IDS
         assert f"at most {cli.MAX_BALLOONS} balloons" in readme
+
+    def test_library_block_runs(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.DOTALL).group(1)
+        namespace = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+        assert namespace["area"] > 0.0
+        assert len(namespace["centers"]) == 7
+        assert namespace["fig4"].abscissas[-1] == 25.0
 
 
 class TestDeterminism:

@@ -285,6 +285,8 @@ class TestReceivedPower:
 
     def test_zero_power(self):
         assert prop.received_power(0.0, 50.0, 1.0, 900.0, 1000.0) == 0.0
+        # lambda^2 is inf at 1e-200 MHz, and 0 W times it would be NaN
+        assert prop.received_power(0.0, 1.0, 1.0, 1e-200, 200.0) == 0.0
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -401,6 +403,14 @@ class TestLinkBudget:
                 range_m=10.0,
             )
 
+    def test_field_whose_square_overflows_is_reported(self):
+        # E^2 is beyond float range, but E^2 / (120*pi) is not
+        tx = prop.TransmitterConfig(power_w=1e8, gain_linear=100.0, freq_mhz=900.0)
+        result = prop.link_budget(tx, prop.LinkGeometry(altitude_m=8.9e-150))
+        assert result.e_field_v_m == pytest.approx(6.15419e154, rel=1e-6)
+        exact = Fraction(result.e_field_v_m) ** 2 / Fraction(prop.FREE_SPACE_IMPEDANCE_OHM)
+        assert result.power_density_w_m2 == pytest.approx(float(exact), rel=1e-12)
+
     def test_result_rejects_inconsistent_fields(self):
         with pytest.raises(ValueError):
             prop.LinkBudgetResult(
@@ -511,7 +521,6 @@ def test_non_finite_argument_rejected(name, argument, value):
 # of its _FINITE_GUARDED row).
 _BEYOND_FLOAT_RANGE = {
     "R^2-underflows": ("power_density", dict(range_m=1e-200)),
-    "inf-over-inf": ("power_density", dict(power_w=1e308, gain_linear=1e10, range_m=1e300)),
     "subnormal-range": ("e_field_rms", dict(range_m=1e-320)),
     "result-overflows": ("received_power", dict(range_m=1e-160)),
     "(4piR)^2-underflows": ("received_power", dict(range_m=1e-200)),
@@ -536,6 +545,11 @@ _BEYOND_FLOAT_RANGE_ELSEWHERE = {
     "PG-overflows": (
         "power_density",
         dict(power_w=1e308, gain_linear=1e10),
+        "power density at power_w=1e+308, gain_linear=1e+10",
+    ),
+    "inf-over-inf": (
+        "power_density",
+        dict(power_w=1e308, gain_linear=1e10, range_m=1e300),
         "power density at power_w=1e+308, gain_linear=1e+10",
     ),
     "30PG-overflows": (
