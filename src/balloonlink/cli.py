@@ -144,7 +144,7 @@ def _near_field_warnings(s: Scenario, range_m: float) -> list[str]:
 
 
 def _table1(s: Scenario, args: argparse.Namespace):
-    rows = table_one(s.transmitter, list(s.table_distances_m))
+    rows = table_one(s.transmitter, s.table_distances_m)
     lines = ["distance_m,power_density_w_m2"]
     lines.extend(f"{fmt(r)},{fmt(density)}" for r, density in rows)
     yield "table1.csv", lines, min(s.table_distances_m)

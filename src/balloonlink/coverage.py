@@ -13,6 +13,7 @@ from .propagation import (
     HATA_FREQ_RANGE_MHZ,
     POSITIVE,
     Record,
+    _require,
     hata_path_loss,
     hata_slope_db_per_decade,
 )
@@ -79,8 +80,7 @@ def cell_radius_from_budget(
     hata_slope_db_per_decade(h_te). Round-trips with hata_path_loss to
     better than 1e-9 relative.
     """
-    if not math.isfinite(max_path_loss_db):
-        raise ValueError("max_path_loss_db must be finite")
+    _require((), max_path_loss_db=max_path_loss_db)
     slope = hata_slope_db_per_decade(bs_antenna_height_m)
     if slope <= 0.0:
         raise ValueError(
@@ -111,12 +111,11 @@ def constellation_layout(num_balloons: int, radius_km: float) -> Constellation:
 
     The first cell sits at the origin; each following ring is filled
     counterclockwise starting from the +x axis. Deterministic: the same
-    inputs always produce the same ordered sites. At most MAX_BALLOONS.
+    inputs always produce the same ordered sites. num_balloons is an
+    integral count from 1 to MAX_BALLOONS.
     """
-    if num_balloons < 1:
-        raise ValueError("num_balloons must be >= 1")
-    if num_balloons > MAX_BALLOONS:
-        raise ValueError(f"num_balloons={num_balloons} is above the cap of {MAX_BALLOONS}")
+    _require(((">=", 1), ("<=", MAX_BALLOONS)), num_balloons=num_balloons)
+    num_balloons = int(num_balloons)
     sites = [(0, 0)]
     ring = 1
     while len(sites) < num_balloons:
@@ -173,12 +172,7 @@ def replacement_count(balloon_radius_km: float, terrestrial_radius_km: float) ->
     be deployed, and at least 1. A tiny slack absorbs float noise so exact
     integer ratios stay exact.
     """
-    for name, radius in (
-        ("balloon_radius_km", balloon_radius_km),
-        ("terrestrial_radius_km", terrestrial_radius_km),
-    ):
-        if not 0.0 < radius < math.inf:
-            raise ValueError(f"{name}={radius:g} must be finite and > 0")
+    _require(POSITIVE, balloon_radius_km=balloon_radius_km, terrestrial_radius_km=terrestrial_radius_km)
     ratio = balloon_radius_km / terrestrial_radius_km
     ratio *= ratio
     if not ratio < math.inf:

@@ -12,7 +12,7 @@ import enum
 import math
 
 from .coverage import replacement_count
-from .propagation import NON_NEGATIVE, Record, _finite, _float_range_error
+from .propagation import NON_NEGATIVE, POSITIVE, Record, _finite, _float_range_error, _require
 
 HOURS_PER_YEAR = 8760.0
 
@@ -130,8 +130,7 @@ def annual_emissions_tons(
     profile: PowerSourceProfile, hours_per_year: float = HOURS_PER_YEAR
 ) -> float:
     """Annual CO2 output of one station, in metric tonnes."""
-    if not 0.0 < hours_per_year < math.inf:
-        raise ValueError("hours_per_year must be finite and > 0")
+    _require(POSITIVE, hours_per_year=hours_per_year)
     if profile.source_kind is SourceKind.SOLAR:
         return 0.0
     inputs = _emission_inputs(profile, hours_per_year)

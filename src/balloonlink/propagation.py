@@ -25,6 +25,37 @@ HATA_BS_HEIGHT_RANGE_M = (30.0, 200.0)
 HATA_DISTANCE_RANGE_KM = (1.0, 20.0)
 
 
+# The bounds grammar of every record field and library argument: bounds are
+# (operator, limit) pairs, checked in order after the value is found finite;
+# an optional third element is a reason, appended to the message. An int
+# limit also requires an integer value.
+_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le, "==": operator.eq}
+POSITIVE = ((">", 0.0),)
+NON_NEGATIVE = ((">=", 0.0),)
+_FLOAT_MAX = sys.float_info.max
+
+
+def bound_problem(name: str, value, bounds) -> str | None:
+    """What is wrong with the number value under bounds, or None if nothing is."""
+    if not abs(value) <= _FLOAT_MAX:  # also an int too large for a float
+        return f"{name} must be finite"
+    for op, limit, *reason in bounds:
+        integer = type(limit) is int
+        if not _OPS[op](value, limit) or (integer and value != int(value)):
+            rule = f"{limit:g}" if op == "==" else f"{op} {limit:g}"
+            kind = "an integer " if integer else ""
+            return f"{name} must be {kind}{rule}" + "".join(f" ({r})" for r in reason)
+    return None
+
+
+def _require(bounds, **values) -> None:
+    """Raise the ValueError bound_problem words for the first value outside bounds."""
+    for name, value in values.items():
+        problem = bound_problem(name, value, bounds)
+        if problem:
+            raise ValueError(problem)
+
+
 def _float_range_error(quantity: str, inputs: dict) -> ValueError:
     """The error for a quantity beyond float range, naming the inputs to blame."""
     named = ", ".join(f"{name}={value:g}" for name, value in inputs.items())
@@ -39,7 +70,7 @@ def _finite(quantity: str, value: float, /, **inputs: float) -> float:
 
 
 def db_to_linear(value_db: float) -> float:
-    """Convert a decibel power ratio to linear: 10^(dB/10), finite and > 0."""
+    """Convert a decibel power ratio to linear: 10^(dB/10), a float > 0."""
     try:
         ratio = 10.0 ** (value_db / 10.0)
     except OverflowError:
@@ -51,8 +82,7 @@ def db_to_linear(value_db: float) -> float:
 
 def wavelength_m(freq_mhz: float) -> float:
     """Free-space wavelength in meters for a carrier given in MHz."""
-    if not 0.0 < freq_mhz < math.inf:
-        raise ValueError("freq_mhz must be finite and > 0")
+    _require(POSITIVE, freq_mhz=freq_mhz)
     wavelength = SPEED_OF_LIGHT_M_S / (freq_mhz * 1e6)
     if 0.0 < wavelength < math.inf:  # 0 if the frequency in Hz overflowed, inf if it is tiny
         return wavelength
@@ -65,8 +95,7 @@ def near_field_distance(antenna_dim_m: float, freq_mhz: float) -> float:
     Used only as a distance marker; no separate near-field model is applied
     inside it.
     """
-    if not 0.0 <= antenna_dim_m < math.inf:
-        raise ValueError("antenna_dim_m must be finite and >= 0")
+    _require(NON_NEGATIVE, antenna_dim_m=antenna_dim_m)
     distance = 2.0 * antenna_dim_m * antenna_dim_m / wavelength_m(freq_mhz)
     return _finite("near-field distance", distance, antenna_dim_m=antenna_dim_m, freq_mhz=freq_mhz)
 
@@ -76,8 +105,7 @@ def hata_correction_small_city(freq_mhz: float, rx_antenna_height_m: float) -> f
 
     a(h_re) = (1.1*log10(f) - 0.7)*h_re - (1.56*log10(f) - 0.8)
     """
-    if not (0.0 < freq_mhz < math.inf and 0.0 < rx_antenna_height_m < math.inf):
-        raise ValueError("freq_mhz and rx_antenna_height_m must be finite and > 0")
+    _require(POSITIVE, freq_mhz=freq_mhz, rx_antenna_height_m=rx_antenna_height_m)
     log_f = math.log10(freq_mhz)
     correction = (1.1 * log_f - 0.7) * rx_antenna_height_m - (1.56 * log_f - 0.8)
     return _finite(
@@ -102,8 +130,7 @@ def hata_path_loss(
     formula is evaluated regardless of the empirical fitting ranges; use
     hata_validity_warnings() to check those.
     """
-    if not 0.0 < distance_km < math.inf:
-        raise ValueError("distance_km must be finite and > 0")
+    _require(POSITIVE, distance_km=distance_km)
     correction = hata_correction_small_city(freq_mhz, rx_antenna_height_m)
     slope = hata_slope_db_per_decade(bs_antenna_height_m)
     log_hte = math.log10(bs_antenna_height_m)
@@ -113,8 +140,7 @@ def hata_path_loss(
 
 def hata_slope_db_per_decade(bs_antenna_height_m: float) -> float:
     """Distance slope 44.9 - 6.55*log10(h_te) of the Hata model, dB/decade."""
-    if not 0.0 < bs_antenna_height_m < math.inf:
-        raise ValueError("bs_antenna_height_m must be finite and > 0")
+    _require(POSITIVE, bs_antenna_height_m=bs_antenna_height_m)
     return 44.9 - 6.55 * math.log10(bs_antenna_height_m)
 
 
@@ -146,8 +172,7 @@ def slant_range(altitude_m: float, ground_offset_m: float) -> float:
     R = sqrt(altitude^2 + offset^2). Both inputs must be >= 0 and at least
     one must be positive (R = 0 is a field singularity downstream).
     """
-    if not (0.0 <= altitude_m < math.inf and 0.0 <= ground_offset_m < math.inf):
-        raise ValueError("altitude_m and ground_offset_m must be finite and >= 0")
+    _require(NON_NEGATIVE, altitude_m=altitude_m, ground_offset_m=ground_offset_m)
     if altitude_m == 0.0 and ground_offset_m == 0.0:
         raise ValueError("altitude_m and ground_offset_m cannot both be 0")
     distance = math.hypot(altitude_m, ground_offset_m)
@@ -156,12 +181,10 @@ def slant_range(altitude_m: float, ground_offset_m: float) -> float:
 
 def _check_field_inputs(power_w: float, gain_linear: float, range_m: float) -> None:
     """Reject a negative power, a non-positive gain or range, and non-finite input."""
-    if not 0.0 <= power_w < math.inf:
-        raise ValueError("power_w must be finite and >= 0")
-    if not 0.0 < gain_linear < math.inf:
-        raise ValueError("gain_linear must be finite and > 0")
-    if not 0.0 < range_m < math.inf:
-        raise ValueError("range_m must be finite and > 0")
+    # table1 checks once per distance: the bounds are only worded on failure
+    if not (0.0 <= power_w <= _FLOAT_MAX and 0.0 < gain_linear <= _FLOAT_MAX and 0.0 < range_m <= _FLOAT_MAX):
+        _require(NON_NEGATIVE, power_w=power_w)
+        _require(POSITIVE, gain_linear=gain_linear, range_m=range_m)
 
 
 # The unchecked field kernels. Each public field function below checks its
@@ -235,8 +258,7 @@ def received_power(
 ) -> float:
     """Friis received power P*Gt*Gr*lambda^2 / (4*pi*R)^2, in watts."""
     _check_field_inputs(power_w, tx_gain_linear, range_m)
-    if not 0.0 < rx_gain_linear < math.inf:
-        raise ValueError("rx_gain_linear must be finite and > 0")
+    _require(POSITIVE, rx_gain_linear=rx_gain_linear)
     lam = wavelength_m(freq_mhz)
     power = _received_power(power_w, tx_gain_linear, rx_gain_linear, lam, range_m)
     if power < math.inf:  # also rejects NaN, a zero density or aperture times an infinite one
@@ -253,27 +275,6 @@ def received_power(
         # each factor finite, their product not
         (gains * lam * lam, {**inputs, "freq_mhz": freq_mhz}),
     )
-
-
-# A field's bounds are (operator, limit) pairs, checked in order after the
-# value is found finite; an optional third element is a reason, appended to
-# the message. An int limit also requires an integer value.
-_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le, "==": operator.eq}
-POSITIVE = ((">", 0.0),)
-NON_NEGATIVE = ((">=", 0.0),)
-
-
-def bound_problem(name: str, value, bounds) -> str | None:
-    """What is wrong with the number value under bounds, or None if nothing is."""
-    if not abs(value) <= sys.float_info.max:  # also an int too large for a float
-        return f"{name} must be finite"
-    for op, limit, *reason in bounds:
-        integer = type(limit) is int
-        if not _OPS[op](value, limit) or (integer and value != int(value)):
-            rule = f"{limit:g}" if op == "==" else f"{op} {limit:g}"
-            kind = "an integer " if integer else ""
-            return f"{name} must be {kind}{rule}" + "".join(f" ({r})" for r in reason)
-    return None
 
 
 class Record:
@@ -299,7 +300,7 @@ class Record:
     def __init__(self, *args, **kwargs) -> None:
         cls = type(self)
         if len(args) > len(cls._fields):
-            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} arguments, got {len(args)}")
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} arguments, not {len(args)}")
         extra = kwargs.keys() - cls._fields[len(args):]
         if extra:
             raise TypeError(f"{cls.__name__} got unknown or repeated arguments {sorted(extra)}")
@@ -312,9 +313,7 @@ class Record:
         for key, bounds in cls._bounds.items():
             value = getattr(self, key)
             if value is not None or getattr(cls, key, 0) is not None:
-                problem = bound_problem(key, value, bounds)
-                if problem:
-                    raise ValueError(problem)
+                _require(bounds, **{key: value})
         self.__post_init__()
 
     def __post_init__(self) -> None:

@@ -629,6 +629,16 @@ ONE_LINE_ERRORS = {
     "sweep-ground-offset-finer-than-float": (
         ("exposure", "--figure", "fig4"), {"sweeps": {"ground_offset": {"max": 5e-324}}}, 1,
         "ground_offset_m sweep from 0.0 to 5e-324 in 101 steps is finer than float resolution"),
+    # flag values, worded by the same bounds grammar as the scenario's fields
+    "flag-num-balloons-0": (("coverage", "--num-balloons", "0"), {}, 1, "num_balloons must be an integer >= 1"),
+    "flag-num-balloons-1001": (
+        ("coverage", "--num-balloons", "1001"), {}, 1, "num_balloons must be an integer <= 1000"),
+    "flag-max-path-loss-nan": (("coverage", "--max-path-loss-db", "nan"), {}, 1, "max_path_loss_db must be finite"),
+    "flag-balloon-radius-negative": (
+        ("green", "--balloon-radius-km", "-1"), {}, 1, "balloon_radius_km must be > 0"),
+    "flag-terrestrial-radius-inf": (
+        ("green", "--terrestrial-radius-km", "inf"), {}, 1, "terrestrial_radius_km must be finite"),
+    "flag-densities-negative": (("zones", "--densities", "1,-2"), {}, 1, "density_w_m2 must be >= 0"),
 }
 
 

@@ -141,10 +141,10 @@ class TestSweepArguments:
     @pytest.mark.parametrize(
         "profile, args, message",
         [
-            (exp.ground_density_profile, (150.0, 25.0, 1), "num_steps must be >= 2"),
-            (exp.altitude_density_profile, (200.0, 400.0, 0.0, 1), "num_steps must be >= 2"),
-            (exp.range_density_profile, (10.0, 500.0, -3), "num_steps must be >= 2"),
-            (_received_power_profile, (200.0, 400.0, 0.0, 1), "num_steps must be >= 2"),
+            (exp.ground_density_profile, (150.0, 25.0, 1), "num_steps must be an integer >= 2"),
+            (exp.altitude_density_profile, (200.0, 400.0, 0.0, 1), "num_steps must be an integer >= 2"),
+            (exp.range_density_profile, (10.0, 500.0, -3), "num_steps must be an integer >= 2"),
+            (_received_power_profile, (200.0, 400.0, 0.0, 1), "num_steps must be an integer >= 2"),
             (exp.ground_density_profile, (150.0, -1.0), "offset_max_m must be >= 0"),
             (exp.altitude_density_profile, (200.0, 400.0, -1.0), "ground_offset_m must be >= 0"),
             (_received_power_profile, (200.0, 400.0, -1.0), "ground_offset_m must be >= 0"),

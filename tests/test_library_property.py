@@ -3,11 +3,13 @@
 Each function is called on seeded draws from a pool of finite floats that
 spans the float range: zero, subnormals, tiny, ordinary, huge and negative
 values, each also scaled by 3.7 and 0.37. A call may refuse its inputs with
-a ValueError; it may not return inf or NaN, nor raise anything else.
+a ValueError; it may not return inf or NaN, nor raise anything else. A
+refused argument is worded by the bounds grammar of the records.
 """
 
 import math
 import random
+import re
 
 import pytest
 
@@ -32,6 +34,11 @@ def _annual_emissions_tons(liters_per_hour, kg_co2_per_liter, hours_per_year):
     return em.annual_emissions_tons(profile, hours_per_year)
 
 
+def _range_density_profile(power_w, range_min_m, range_max_m, num_steps):
+    tx = prop.TransmitterConfig(power_w, gain_linear=50.0)
+    return exp.range_density_profile(tx, range_min_m, range_max_m, num_steps)
+
+
 def _compare(liters_per_hour, kg_co2_per_liter, kwh_per_hour, kg_co2_per_kwh, *radii_and_hours):
     terrestrial = em.diesel_profile(liters_per_hour, kg_co2_per_liter)
     balloon = em.grid_profile(kwh_per_hour, kg_co2_per_kwh)
@@ -53,6 +60,8 @@ FUNCTIONS = {
     "cell_radius_from_budget": (cov.cell_radius_from_budget, 4),
     "replacement_count": (cov.replacement_count, 2),
     "default_thresholds": (exp.default_thresholds, 1),
+    "range_density_profile": (_range_density_profile, 4),
+    "constellation_layout": (cov.constellation_layout, 2),
     "annual_emissions_tons": (_annual_emissions_tons, 3),
     "compare": (_compare, 7),
 }
@@ -61,7 +70,9 @@ FUNCTIONS = {
 def _finite(result) -> bool:
     if isinstance(result, prop.Record):
         return all(map(_finite, result._values()))
-    return math.isfinite(result)
+    if isinstance(result, tuple):
+        return all(map(_finite, result))
+    return isinstance(result, str) or math.isfinite(result)
 
 
 @pytest.mark.parametrize("name", FUNCTIONS)
@@ -129,3 +140,88 @@ def test_value_beyond_float_range_names_the_inputs(call, message):
     with pytest.raises(ValueError) as excinfo:
         call()
     assert str(excinfo.value) == f"{message} is beyond float range"
+
+
+TX = prop.TransmitterConfig(20.0, gain_linear=50.0)
+THRESHOLDS = exp.ZoneThresholds(4.5)
+DIESEL = em.diesel_profile()
+
+
+# One row per argument check: each is the bounds grammar's message, whole.
+# Record fields and the sweeps' ground offsets have theirs in test_propagation
+# and test_exposure.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: prop.wavelength_m(0.0), "freq_mhz must be > 0"),
+        (lambda: prop.wavelength_m(math.inf), "freq_mhz must be finite"),
+        (lambda: prop.near_field_distance(-1.0, 900.0), "antenna_dim_m must be >= 0"),
+        (lambda: prop.hata_correction_small_city(900.0, 0.0), "rx_antenna_height_m must be > 0"),
+        (lambda: prop.hata_path_loss(900.0, 200.0, 1.5, -1.0), "distance_km must be > 0"),
+        (lambda: prop.hata_slope_db_per_decade(math.nan), "bs_antenna_height_m must be finite"),
+        (lambda: prop.slant_range(1.0, -1.0), "ground_offset_m must be >= 0"),
+        (lambda: prop.power_density(-1.0, 50.0, 10.0), "power_w must be >= 0"),
+        (lambda: prop.e_field_rms(20.0, 0.0, 10.0), "gain_linear must be > 0"),
+        (lambda: prop.power_density(20.0, 50.0, math.nan), "range_m must be finite"),
+        (lambda: prop.e_field_rms(10**400, 50.0, 10.0), "power_w must be finite"),
+        (lambda: prop.received_power(20.0, 50.0, -1.0, 900.0, 10.0), "rx_gain_linear must be > 0"),
+        (lambda: exp.default_thresholds(-900.0), "freq_mhz must be > 0"),
+        (lambda: exp.classify_zone(math.nan, THRESHOLDS), "density_w_m2 must be finite"),
+        (lambda: exp.classify_zone(-0.1, THRESHOLDS), "density_w_m2 must be >= 0"),
+        (lambda: exp.ground_density_profile(TX, 0.0, 25.0), "altitude_m must be > 0"),
+        (lambda: exp.ground_density_profile(TX, 150.0, math.inf), "offset_max_m must be finite"),
+        (lambda: exp.altitude_density_profile(TX, 0.0, 400.0), "altitude_min_m must be > 0"),
+        (lambda: exp.altitude_density_profile(TX, 400.0, 200.0), "altitude_max_m must be > altitude_min_m"),
+        (lambda: exp.range_density_profile(TX, 10.0, math.inf), "range_max_m must be finite"),
+        (lambda: exp.received_power_profile(TX, 0.0, 200.0, 200.0), "altitude_max_m must be > altitude_min_m"),
+        (lambda: exp.range_density_profile(TX, 10.0, 500.0, 2.5), "num_steps must be an integer >= 2"),
+        (lambda: exp.range_density_profile(TX, 10.0, 500.0, 100_002), "num_steps must be an integer <= 100001"),
+        (lambda: cov.cell_radius_from_budget(900.0, 200.0, 1.5, math.nan), "max_path_loss_db must be finite"),
+        (lambda: cov.constellation_layout(0, 1.0), "num_balloons must be an integer >= 1"),
+        (lambda: cov.constellation_layout(2.5, 1.0), "num_balloons must be an integer >= 1"),
+        (lambda: cov.constellation_layout(1001, 1.0), "num_balloons must be an integer <= 1000"),
+        (lambda: cov.replacement_count(-1.0, 1.0), "balloon_radius_km must be > 0"),
+        (lambda: cov.replacement_count(10.0, math.inf), "terrestrial_radius_km must be finite"),
+        (lambda: em.annual_emissions_tons(DIESEL, 0.0), "hours_per_year must be > 0"),
+    ],
+    ids=[
+        "wavelength-zero",
+        "wavelength-inf",
+        "near-field",
+        "hata-correction",
+        "hata-path-loss",
+        "hata-slope",
+        "slant-range",
+        "field-power",
+        "field-gain",
+        "field-range",
+        "field-huge-int",
+        "received-rx-gain",
+        "default-thresholds",
+        "classify-nan",
+        "classify-negative",
+        "ground-altitude",
+        "ground-offset-max",
+        "altitude-min",
+        "altitude-max-below-min",
+        "range-max",
+        "received-max-equals-min",
+        "steps-fractional",
+        "steps-cap",
+        "cell-radius",
+        "balloons-zero",
+        "balloons-fractional",
+        "balloons-cap",
+        "replacement-balloon",
+        "replacement-terrestrial",
+        "annual-emissions",
+    ],
+)
+def test_argument_error_speaks_the_bounds_grammar(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_an_integral_float_count_is_a_count():
+    assert exp.range_density_profile(TX, 10.0, 500.0, 3.0) == exp.range_density_profile(TX, 10.0, 500.0, 3)
+    assert cov.constellation_layout(3.0, 1.0) == cov.constellation_layout(3, 1.0)
