@@ -6,11 +6,14 @@ directory. Every subcommand is one row of PRODUCTS; ``_run`` renders all
 of a product's files before it writes any, replaces them as one set and
 only then reports them. Exit codes: 0 success, 1 validation or usage
 error, 2 I/O error.
+
+``main`` reads an argv of the shape ``COMMAND (--flag VALUE)*`` straight
+from the flag tables; argparse is imported only to word help, the version
+and usage errors (``build_parser``).
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import math
 import os
@@ -18,6 +21,7 @@ import sys
 from collections.abc import Callable
 from itertools import takewhile
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .coverage import MAX_BALLOONS, cell_radius_from_budget, constellation_layout, union_area_km2
@@ -43,15 +47,11 @@ FIG4_ALTITUDE_M = 150.0
 FIG5_ALTITUDE_M = 200.0
 
 
-class _Parser(argparse.ArgumentParser):
-    # usage errors must exit 1, not argparse's default 2 (2 is for I/O here)
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+def _type_error(message: str) -> Exception:
+    """The error a flag's type raises for argparse to word as a usage error."""
+    from argparse import ArgumentTypeError
 
-
-class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter, argparse.RawDescriptionHelpFormatter):
-    """Show flag defaults but keep the epilog's line structure."""
+    return ArgumentTypeError(message)
 
 
 def _comma_floats(text: str) -> list[float]:
@@ -60,16 +60,16 @@ def _comma_floats(text: str) -> list[float]:
         try:
             values.append(float(token))
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not a number: {token.strip()!r}") from None
+            raise _type_error(f"not a number: {token.strip()!r}") from None
     if not values:
-        raise argparse.ArgumentTypeError("expected at least one number")
+        raise _type_error("expected at least one number")
     return values
 
 
 def _path(text: str) -> Path:
     # Path("") is ".", a directory the user never named
     if not text:
-        raise argparse.ArgumentTypeError("expected a non-empty path")
+        raise _type_error("expected a non-empty path")
     return Path(text)
 
 
@@ -143,14 +143,14 @@ def _near_field_warnings(s: Scenario, range_m: float) -> list[str]:
     return []
 
 
-def _table1(s: Scenario, args: argparse.Namespace):
+def _table1(s: Scenario, args: SimpleNamespace):
     rows = table_one(s.transmitter, s.table_distances_m)
     lines = ["distance_m,power_density_w_m2"]
     lines.extend(f"{fmt(r)},{fmt(density)}" for r, density in rows)
     yield "table1.csv", lines, min(s.table_distances_m)
 
 
-def _exposure(s: Scenario, args: argparse.Namespace):
+def _exposure(s: Scenario, args: SimpleNamespace):
     for figure in [args.figure] if args.figure else FIGURE_IDS:
         build, shortest_range, unit, extra = _FIGURES[figure]
         series = build(s)
@@ -169,7 +169,7 @@ def _exposure(s: Scenario, args: argparse.Namespace):
         yield f"{figure}.csv", lines, shortest_range(s)
 
 
-def _coverage(s: Scenario, args: argparse.Namespace):
+def _coverage(s: Scenario, args: SimpleNamespace):
     tx, geometry = s.transmitter, s.geometry
     radius = cell_radius_from_budget(
         tx.freq_mhz,
@@ -187,7 +187,7 @@ def _coverage(s: Scenario, args: argparse.Namespace):
     yield "coverage.csv", lines, math.inf
 
 
-def _green(s: Scenario, args: argparse.Namespace):
+def _green(s: Scenario, args: SimpleNamespace):
     comparison = compare(
         s.green_terrestrial,
         s.green_balloon,
@@ -210,7 +210,7 @@ def _green(s: Scenario, args: argparse.Namespace):
     yield "green.csv", lines, math.inf
 
 
-def _zones(s: Scenario, args: argparse.Namespace):
+def _zones(s: Scenario, args: SimpleNamespace):
     densities, range_m = args.densities, math.inf
     if densities is None:
         # default: classify the peak ground density, directly under the platform
@@ -221,7 +221,7 @@ def _zones(s: Scenario, args: argparse.Namespace):
     yield "zones.csv", lines, range_m
 
 
-def _linkbudget(s: Scenario, args: argparse.Namespace):
+def _linkbudget(s: Scenario, args: SimpleNamespace):
     tx, geometry = s.transmitter, s.geometry
     result = link_budget(tx, geometry)
     range_km = result.range_m / 1000.0
@@ -347,7 +347,7 @@ def _replace_all(out: Path, files: list[tuple[str, list[str]]]) -> None:
         raise
 
 
-def _run(scenario: Scenario, args: argparse.Namespace) -> None:
+def _run(scenario: Scenario, args: SimpleNamespace) -> None:
     """Render every file of the product, replace them as one set, then report them.
 
     A failed render writes nothing, a failed write leaves the old files as
@@ -380,7 +380,19 @@ def _stdout_to_devnull() -> None:
     os.close(devnull)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of the flag tables, which words help, the version and usage errors."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # usage errors must exit 1, not argparse's default 2 (2 is for I/O here)
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter, argparse.RawDescriptionHelpFormatter):
+        """Show flag defaults but keep the epilog's line structure."""
+
     parser = _Parser(
         prog="balloonlink",
         description="Link-budget, exposure and coverage products for an "
@@ -407,9 +419,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_quick(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace of an argv `COMMAND (--flag VALUE)*`, or None for argparse to parse.
+
+    Each flag is spelled in full and read from the tables build_parser adds
+    it from, with the same type, choices and default, so the namespace is
+    the one argparse returns. Anything else is None: help, the version, an
+    abbreviation, `--flag=value`, a value that starts with "-" (argparse
+    may read it as a flag), a value the flag's type or choices refuse.
+    """
+    if not argv or argv[0] not in PRODUCTS or len(argv) % 2 == 0:
+        return None
+    flags = {**_COMMON_FLAGS, **PRODUCTS[argv[0]].flags}
+    values = {flag: keywords.get("default") for flag, keywords in flags.items()}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        if flag not in flags or text.startswith("-"):
+            return None
+        keywords = flags[flag]
+        try:
+            value = keywords.get("type", str)(text)
+        except Exception:  # argparse calls the type again and words its error
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[flag] = value  # a repeated flag's last value wins, as in argparse
+    return SimpleNamespace(command=argv[0], **{flag[2:].replace("-", "_"): v for flag, v in values.items()})
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_quick(argv) or build_parser().parse_args(argv, SimpleNamespace())
     try:
         scenario_path = args.scenario if args.scenario is not None else default_scenario_path()
         _run(load_scenario(scenario_path), args)

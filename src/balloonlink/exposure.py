@@ -187,6 +187,7 @@ def ground_density_profile(
     """
     _require(POSITIVE, altitude_m=altitude_m)
     _require(NON_NEGATIVE, offset_max_m=offset_max_m)
+    _require(SWEEP_STEPS, num_steps=num_steps)  # also for the one-point axis at offset_max_m == 0
     power, gain = tx.power_w, tx.linear_gain()
     offsets = (
         (0.0,)

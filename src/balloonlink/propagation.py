@@ -71,11 +71,12 @@ def _finite(quantity: str, value: float, /, **inputs: float) -> float:
 
 def db_to_linear(value_db: float) -> float:
     """Convert a decibel power ratio to linear: 10^(dB/10), a float > 0."""
+    _require((), value_db=value_db)
     try:
         ratio = 10.0 ** (value_db / 10.0)
     except OverflowError:
         ratio = math.inf
-    if not 0.0 < ratio < math.inf:  # also a NaN or infinite value_db
+    if not 0.0 < ratio < math.inf:
         raise ValueError(f"value_db={value_db:g} is out of range: 10^(dB/10) is not a float > 0")
     return ratio
 

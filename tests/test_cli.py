@@ -881,6 +881,19 @@ class TestEntryPoint:
         assert "Traceback" not in result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "scenario.json"]
 
+    def test_a_valid_run_never_imports_argparse(self):
+        result = _python("-X", "importtime", "-m", "balloonlink", "linkbudget")
+        imported = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines() if "|" in line}
+        assert (result.returncode, "balloonlink.cli" in imported) == (0, True)
+        assert "key,value" in result.stdout.splitlines()
+        assert not imported & {"argparse", "gettext"}
+
+    def test_help_still_comes_from_argparse(self):
+        result = _python("-m", "balloonlink", "--help")
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.startswith("usage: balloonlink ")
+        assert result.stdout.rstrip().endswith(scen.DEFAULTS_HELP.rstrip())
+
     def test_dev_mode_with_warnings_as_errors_is_silent(self, tmp_path):
         result = _python("-X", "dev", "-W", "error", "-m", "balloonlink", "exposure", "--out", str(tmp_path))
         assert (result.returncode, result.stderr) == (0, "")

@@ -130,3 +130,79 @@ def test_seeded_cli_cases_keep_the_contract(tmp_path):
         codes.append(code)
     # the pool reaches every exit code, so no branch of the contract is vacuous
     assert set(codes) == EXIT_CODES
+
+
+# The differential check of cli._parse_quick against argparse. Each argv is
+# a command, a bad command, -h or --version, followed by pairs drawn from
+# exact, abbreviated, `--flag=value` and foreign flags, `--`, help, and
+# values argparse may read as a flag, refuse or convert.
+DIFF_SEED = 20190102
+DIFF_CASES = 3000
+HEADS = (*cli.PRODUCTS, "bogus", "-h", "--version")
+VALUES = ("7", "-5", "fig4", "fig9", "abc", "", "1,,2", "1e400", "nan", " 3 ", "2.5", "-", "--", "out/dir")
+OTHER_TOKENS = ("--", "-h", "--help", "--version", "--out=x", "--num", "--sc", "--figure=fig4", "fig4", "--bogus")
+
+
+def _token_pairs(rng: random.Random, head: str) -> list[str]:
+    flags = [*cli._COMMON_FLAGS, *cli.PRODUCTS.get(head, cli.PRODUCTS["coverage"]).flags]
+    argv = []
+    for _ in range(rng.randint(0, 4)):
+        draw = rng.random()
+        if draw < 0.7:
+            flag = rng.choice(flags)
+        elif draw < 0.8:
+            flag = rng.choice(flags)[: rng.randint(3, 6)]  # an abbreviation, or the flag itself
+        elif draw < 0.9:
+            flag = rng.choice([f for product in cli.PRODUCTS.values() for f in product.flags])
+        else:
+            flag = rng.choice(OTHER_TOKENS)
+        argv.append(flag)
+        if rng.random() < 0.95:
+            argv.append(rng.choice(VALUES))
+    return argv
+
+
+def _argparse(parser, argv):
+    """argparse's namespace for argv, or None where it exits (help, version, usage error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def _same(quick, parsed) -> bool:
+    # repr compares NaN equal to NaN, and an int unequal to an equal float
+    return parsed is not None and repr(sorted(vars(quick).items())) == repr(sorted(vars(parsed).items()))
+
+
+def test_quick_parse_declines_or_agrees_with_argparse():
+    rng = random.Random(DIFF_SEED)
+    parser = cli.build_parser()
+    taken = declined = 0
+    for _ in range(DIFF_CASES):
+        head = rng.choice(HEADS)
+        argv = [head, *_token_pairs(rng, head)]
+        quick = cli._parse_quick(argv)
+        if quick is None:
+            declined += 1
+            continue
+        taken += 1
+        parsed = _argparse(parser, argv)
+        assert _same(quick, parsed), f"{argv}: quick {quick} != argparse {parsed}"
+    # both branches are exercised, so neither side of the check is vacuous
+    assert taken > DIFF_CASES // 10 and declined > DIFF_CASES // 10, (taken, declined)
+
+
+def test_every_benchmark_job_takes_the_quick_path(tmp_path):
+    from test_corpus import SEEDS, scenarios
+
+    parser = cli.build_parser()
+    for workload in scenarios.WORKLOADS:
+        for seed in SEEDS:
+            work = tmp_path / workload / str(seed)
+            for job in scenarios.generate(workload, seed, work):
+                argv = job.argv(work, work / "out")
+                quick = cli._parse_quick(argv)
+                assert quick is not None, f"{workload}/{seed} {job.label}: {argv} left to argparse"
+                assert _same(quick, _argparse(parser, argv)), argv

@@ -2,9 +2,11 @@
 
 Each function is called on seeded draws from a pool of finite floats that
 spans the float range: zero, subnormals, tiny, ordinary, huge and negative
-values, each also scaled by 3.7 and 0.37. A call may refuse its inputs with
-a ValueError; it may not return inf or NaN, nor raise anything else. A
-refused argument is worded by the bounds grammar of the records.
+values, each also scaled by 3.7 and 0.37, plus an integral float and ints
+beyond float range. A call may refuse its inputs with a ValueError; it may
+not return inf or NaN, nor raise anything else, nor return for a count
+outside the count's bounds. A refused argument is worded by the bounds
+grammar of the records.
 """
 
 import math
@@ -22,9 +24,8 @@ _BASE = (
     0.0, 1.0, -1.0, 5e-324, 2e-323, 1e-300, 1e-200, 1e-10,
     2.5, 150.0, 1e10, 1e150, 1e200, 1e300, 1.7e308, -1e300,
 )  # fmt: skip
-POOL = tuple(
-    sorted({value * scale for value in _BASE for scale in (1.0, 3.7, 0.37)} - {math.inf})
-)
+_SCALED = {value * scale for value in _BASE for scale in (1.0, 3.7, 0.37)} - {math.inf}
+POOL = tuple(sorted(_SCALED | {7.0, 10**400, -(10**400)}))
 
 DRAWS = 2000
 
@@ -37,6 +38,11 @@ def _annual_emissions_tons(liters_per_hour, kg_co2_per_liter, hours_per_year):
 def _range_density_profile(power_w, range_min_m, range_max_m, num_steps):
     tx = prop.TransmitterConfig(power_w, gain_linear=50.0)
     return exp.range_density_profile(tx, range_min_m, range_max_m, num_steps)
+
+
+def _ground_density_profile(power_w, altitude_m, offset_max_m, num_steps):
+    tx = prop.TransmitterConfig(power_w, gain_linear=50.0)
+    return exp.ground_density_profile(tx, altitude_m, offset_max_m, num_steps)
 
 
 def _compare(liters_per_hour, kg_co2_per_liter, kwh_per_hour, kg_co2_per_kwh, *radii_and_hours):
@@ -61,9 +67,18 @@ FUNCTIONS = {
     "replacement_count": (cov.replacement_count, 2),
     "default_thresholds": (exp.default_thresholds, 1),
     "range_density_profile": (_range_density_profile, 4),
+    "ground_density_profile": (_ground_density_profile, 4),
     "constellation_layout": (cov.constellation_layout, 2),
     "annual_emissions_tons": (_annual_emissions_tons, 3),
     "compare": (_compare, 7),
+}
+
+
+# name -> (index of a count argument, its bounds): a call that returns took a valid count
+COUNTS = {
+    "range_density_profile": (3, exp.SWEEP_STEPS),
+    "ground_density_profile": (3, exp.SWEEP_STEPS),
+    "constellation_layout": (0, ((">=", 1), ("<=", cov.MAX_BALLOONS))),
 }
 
 
@@ -86,6 +101,9 @@ def test_raises_value_error_or_returns_finite(name):
         except ValueError:
             continue
         assert _finite(result), f"{name}{args} returned {result!r}"
+        if name in COUNTS:
+            index, bounds = COUNTS[name]
+            assert prop.bound_problem("count", args[index], bounds) is None, f"{name}{args} took the count"
 
 
 @pytest.mark.parametrize(
@@ -153,6 +171,8 @@ DIESEL = em.diesel_profile()
 @pytest.mark.parametrize(
     "call, message",
     [
+        (lambda: prop.db_to_linear(10**400), "value_db must be finite"),
+        (lambda: prop.db_to_linear(-(10**400)), "value_db must be finite"),
         (lambda: prop.wavelength_m(0.0), "freq_mhz must be > 0"),
         (lambda: prop.wavelength_m(math.inf), "freq_mhz must be finite"),
         (lambda: prop.near_field_distance(-1.0, 900.0), "antenna_dim_m must be >= 0"),
@@ -170,6 +190,8 @@ DIESEL = em.diesel_profile()
         (lambda: exp.classify_zone(-0.1, THRESHOLDS), "density_w_m2 must be >= 0"),
         (lambda: exp.ground_density_profile(TX, 0.0, 25.0), "altitude_m must be > 0"),
         (lambda: exp.ground_density_profile(TX, 150.0, math.inf), "offset_max_m must be finite"),
+        (lambda: exp.ground_density_profile(TX, 150.0, 0.0, 2.5), "num_steps must be an integer >= 2"),
+        (lambda: exp.ground_density_profile(TX, 150.0, 0.0, 10**9), "num_steps must be an integer <= 100001"),
         (lambda: exp.altitude_density_profile(TX, 0.0, 400.0), "altitude_min_m must be > 0"),
         (lambda: exp.altitude_density_profile(TX, 400.0, 200.0), "altitude_max_m must be > altitude_min_m"),
         (lambda: exp.range_density_profile(TX, 10.0, math.inf), "range_max_m must be finite"),
@@ -185,6 +207,8 @@ DIESEL = em.diesel_profile()
         (lambda: em.annual_emissions_tons(DIESEL, 0.0), "hours_per_year must be > 0"),
     ],
     ids=[
+        "db-huge-int",
+        "db-huge-negative-int",
         "wavelength-zero",
         "wavelength-inf",
         "near-field",
@@ -202,6 +226,8 @@ DIESEL = em.diesel_profile()
         "classify-negative",
         "ground-altitude",
         "ground-offset-max",
+        "ground-point-steps-fractional",
+        "ground-point-steps-cap",
         "altitude-min",
         "altitude-max-below-min",
         "range-max",
