@@ -25,7 +25,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .coverage import MAX_BALLOONS, cell_radius_from_budget, constellation_layout, union_area_km2
-from .csvout import _FLOAT_SPEC, fmt, render, write_csv
+from .csvout import float_column, fmt, render, row_template, write_csv
 from .emissions import compare
 from .exposure import (
     altitude_density_profile,
@@ -151,21 +151,22 @@ def _table1(s: Scenario, args: SimpleNamespace):
 
 
 def _exposure(s: Scenario, args: SimpleNamespace):
+    columns = []  # (abscissas, converted column) of each abscissa column seen
     for figure in [args.figure] if args.figure else FIGURE_IDS:
         build, shortest_range, unit, extra = _FIGURES[figure]
         series = build(s)
         lines = [*extra, f"# series: {series.label}; abscissa: {series.abscissa_name}"]
         lines.append("abscissa,value,unit")
-        # All rows as one block: a row template repeated once per point and
-        # filled by a single % over the two columns, interleaved. A
-        # %-conversion with fmt's spec is the same C conversion as fmt(v), so
-        # the bytes are fmt's; the block holds no trailing LF, because render
-        # joins the lines with LF.
+        # All rows as one block. The sampled axes are cached, so figures over
+        # one axis share its column object, which is converted once; matched
+        # with `is`, not ==, since -0.0 == 0.0 prints differently.
         if series.values:
-            cells = [0.0] * (2 * len(series.values))
-            cells[::2], cells[1::2] = series.abscissas, series.values
-            rows = f"%{_FLOAT_SPEC},%{_FLOAT_SPEC},{unit}\n" * len(series.values)
-            lines.append(rows[:-1] % tuple(cells))
+            xs = series.abscissas
+            text = next((text for seen, text in columns if seen is xs), None)
+            if text is None:
+                text = float_column(xs)
+                columns.append((xs, text))
+            lines.append(row_template(text, unit) % series.values)
         yield f"{figure}.csv", lines, shortest_range(s)
 
 

@@ -35,8 +35,8 @@ DEFAULT_NUM_STEPS = 101
 
 # Bounds on a sweep's step count, for the scenario's sweeps and the library's
 # alike. The cap bounds the memory of one sweep: exposure with all three
-# sweeps at 100001 steps runs in 0.8-1.1 s at 54 MiB peak RSS (Python
-# 3.11.7, 2-vCPU host), and CI fails such a run above 96 MiB.
+# sweeps at 100001 steps runs in 0.43-0.73 s at 55 MiB peak RSS (12 runs,
+# Python 3.11.7, shared 2-vCPU host), and CI fails such a run above 96 MiB.
 SWEEP_STEPS = ((">=", 2), ("<=", 100_001))
 
 # Default general-public power-density limit: f/200 W/m^2 for f in MHz,

@@ -2,9 +2,11 @@
 
 The profiles check the two ends of an axis through the public scalars and
 evaluate every point through unchecked kernels, and the exposure CSV
-renders all rows of a figure with one % operation. These tests hold both
-to the single-point public calls and to csvout.fmt, point by point and
-byte by byte.
+renders all rows of a figure as one block: each abscissa column object is
+converted once (csvout.float_column), each figure's csvout.row_template is
+built from it and filled by one % over the value column. These tests hold
+both to the single-point public calls and to csvout.fmt, point by point
+and byte by byte.
 """
 
 import json
@@ -15,7 +17,7 @@ import pytest
 from balloonlink import cli
 from balloonlink import exposure as exp
 from balloonlink import scenario as scen
-from balloonlink.csvout import fmt
+from balloonlink.csvout import float_column, fmt, row_template
 from balloonlink.propagation import (
     db_to_linear,
     power_density,
@@ -144,3 +146,36 @@ def test_empty_series_adds_no_row(monkeypatch):
     (name, lines, _), = cli._exposure(scen.load_scenario(scen.default_scenario_path()), args)
     assert name == "fig7.csv"
     assert lines == ["# series: empty; abscissa: range_m", "abscissa,value,unit"]
+
+
+def _exposure_files(monkeypatch, figures: dict) -> dict:
+    """Every figure's lines from cli._exposure, with figures patched into cli._FIGURES."""
+    for figure, entry in figures.items():
+        monkeypatch.setitem(cli._FIGURES, figure, entry)
+    args = cli.build_parser().parse_args(["exposure"])
+    s = scen.load_scenario(scen.default_scenario_path())
+    return {name: lines for name, lines, _ in cli._exposure(s, args)}
+
+
+def test_column_reuse_is_keyed_on_identity(monkeypatch):
+    # equal abscissa columns, distinct objects: -0.0 == 0.0 prints differently
+    first, second = (0.0, 1.0), (-0.0, 1.0)
+    assert first == second and first is not second
+    files = _exposure_files(monkeypatch, {
+        figure: (lambda s, xs=xs: exp.SweepSeries("edge", "range_m", xs, (1.0, 2.0)), lambda s: 10.0, "W/m2", ())
+        for figure, xs in (("fig4", first), ("fig5", second))
+    })
+    assert files["fig4.csv"][-1] == "0.00000e+00,1.00000e+00,W/m2\n1.00000e+00,2.00000e+00,W/m2"
+    assert files["fig5.csv"][-1] == "-0.00000e+00,1.00000e+00,W/m2\n1.00000e+00,2.00000e+00,W/m2"
+
+
+def test_each_abscissa_column_is_converted_once(monkeypatch):
+    # fig4 and fig5 share the cached ground-offset axis, fig6 and fig8 the
+    # altitude axis; each figure still gets its own row template
+    converted, templates = [], []
+    monkeypatch.setattr(cli, "float_column", lambda xs: converted.append(xs) or float_column(xs))
+    monkeypatch.setattr(cli, "row_template", lambda text, unit: templates.append(unit) or row_template(text, unit))
+    files = _exposure_files(monkeypatch, {})
+    assert len(converted) == 3
+    assert templates == ["W/m2", "W/m2", "W/m2", "W/m2", "W"]
+    assert list(files) == [f"{figure}.csv" for figure in cli.FIGURE_IDS]
