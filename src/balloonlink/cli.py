@@ -160,13 +160,12 @@ def _exposure(s: Scenario, args: SimpleNamespace):
         # All rows as one block. The sampled axes are cached, so figures over
         # one axis share its column object, which is converted once; matched
         # with `is`, not ==, since -0.0 == 0.0 prints differently.
-        if series.values:
-            xs = series.abscissas
-            text = next((text for seen, text in columns if seen is xs), None)
-            if text is None:
-                text = float_column(xs)
-                columns.append((xs, text))
-            lines.append(row_template(text, unit) % series.values)
+        xs = series.abscissas
+        text = next((text for seen, text in columns if seen is xs), None)
+        if text is None:
+            text = float_column(xs)
+            columns.append((xs, text))
+        lines.append(row_template(text, unit) % series.values)
         yield f"{figure}.csv", lines, shortest_range(s)
 
 

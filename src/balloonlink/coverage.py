@@ -13,6 +13,7 @@ from .propagation import (
     HATA_FREQ_RANGE_MHZ,
     POSITIVE,
     Record,
+    _finite,
     _require,
     hata_path_loss,
     hata_slope_db_per_decade,
@@ -157,12 +158,8 @@ def union_area_km2(constellation: Constellation) -> float:
     """
     unit_lens = math.pi / 3.0 - math.sqrt(3.0) / 2.0
     unit_union = len(constellation.sites) * math.pi - len(linked_pairs(constellation)) * unit_lens
-    area = constellation.radius_km * constellation.radius_km * unit_union
-    if area == math.inf:
-        raise ValueError(
-            f"radius_km={constellation.radius_km:g} is too large: the union area is beyond float range"
-        )
-    return area
+    radius = constellation.radius_km
+    return _finite("union area", radius * radius * unit_union, radius_km=radius)
 
 
 def replacement_count(balloon_radius_km: float, terrestrial_radius_km: float) -> int:
@@ -174,10 +171,5 @@ def replacement_count(balloon_radius_km: float, terrestrial_radius_km: float) ->
     """
     _require(POSITIVE, balloon_radius_km=balloon_radius_km, terrestrial_radius_km=terrestrial_radius_km)
     ratio = balloon_radius_km / terrestrial_radius_km
-    ratio *= ratio
-    if not ratio < math.inf:
-        raise ValueError(
-            f"balloon_radius_km={balloon_radius_km:g} over terrestrial_radius_km="
-            f"{terrestrial_radius_km:g} is too large: the area ratio is beyond float range"
-        )
-    return max(1, math.ceil(ratio - 1e-9))
+    inputs = {"balloon_radius_km": balloon_radius_km, "terrestrial_radius_km": terrestrial_radius_km}
+    return max(1, math.ceil(_finite("area ratio", ratio * ratio, **inputs) - 1e-9))

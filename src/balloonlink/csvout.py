@@ -32,8 +32,8 @@ def row_template(abscissa_column: str, unit: str) -> str:
 
     ``row_template(float_column(xs), unit) % values`` gives the rows
     ``f"{fmt(x)},{fmt(v)},{unit}"``, joined by LF with no trailing LF, since
-    render joins the lines with LF. The column is at least one line, and
-    unit holds no "%".
+    render joins the lines with LF. The column is at least one line, as
+    every SweepSeries has a point, and unit holds no "%".
     """
     row_end = f",%{_FLOAT_SPEC},{unit}"
     return abscissa_column.replace("\n", row_end + "\n") + row_end

@@ -29,12 +29,14 @@ class SourceKind(enum.Enum):
 
 
 # The fields of a profile that one station's emissions multiply, per kind,
-# each with its unit: a consumption per hour and an emission factor.
+# each with its unit: a consumption per hour and an emission factor. A kind
+# with none emits nothing.
 _EMISSION_FIELDS = {
     SourceKind.DIESEL: (
         ("fuel_liters_per_hour", "L/h"),
         ("emission_factor_kg_per_liter", "kg CO2/L"),
     ),
+    SourceKind.SOLAR: (),
     SourceKind.GRID: (("grid_kwh_per_hour", "kWh/h"), ("grid_emission_kg_per_kwh", "kg CO2/kWh")),
 }
 
@@ -42,8 +44,8 @@ _EMISSION_FIELDS = {
 class PowerSourceProfile(Record):
     """How one base station is powered and what it emits.
 
-    Only the fields relevant to the source kind are consumed; a SOLAR
-    profile must have every emission-bearing field at zero.
+    A profile may set only the emission fields its source kind consumes;
+    every other one must be 0, so a SOLAR profile has all of them at 0.
     """
 
     source_kind: SourceKind
@@ -61,16 +63,17 @@ class PowerSourceProfile(Record):
     }
 
     def __post_init__(self) -> None:
-        if self.source_kind is SourceKind.SOLAR and any(getattr(self, key) for key in self._bounds):
-            raise ValueError("a SOLAR profile must have all emission fields at 0")
+        consumed = [key for key, _ in _EMISSION_FIELDS[self.source_kind]]
+        for key in self._bounds:  # in field order, so the first one set is named
+            if key not in consumed and getattr(self, key):
+                raise ValueError(f"a {self.source_kind.value} profile must have {key} at 0")
 
     def summary(self) -> str:
         """The kind and the fields it consumes, as green.csv and the CLI help print them."""
-        if self.source_kind is SourceKind.SOLAR:
-            return "SOLAR (zero emission)"
-        rate, factor = (
-            f"{getattr(self, key):g} {unit}" for key, unit in _EMISSION_FIELDS[self.source_kind]
-        )
+        fields = _EMISSION_FIELDS[self.source_kind]
+        if not fields:
+            return f"{self.source_kind.value} (zero emission)"
+        rate, factor = (f"{getattr(self, key):g} {unit}" for key, unit in fields)
         return f"{self.source_kind.value} {rate} at {factor}"
 
 
@@ -131,7 +134,7 @@ def annual_emissions_tons(
 ) -> float:
     """Annual CO2 output of one station, in metric tonnes."""
     _require(POSITIVE, hours_per_year=hours_per_year)
-    if profile.source_kind is SourceKind.SOLAR:
+    if not _EMISSION_FIELDS[profile.source_kind]:
         return 0.0
     inputs = _emission_inputs(profile, hours_per_year)
     rate, hours, factor = inputs.values()

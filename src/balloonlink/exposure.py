@@ -84,22 +84,25 @@ def classify_zone(density_w_m2: float, thresholds: ZoneThresholds) -> ExposureZo
 class SweepSeries(Record):
     """An ordered 1-D profile: a column of abscissas, one of values, and labels.
 
-    The abscissas ascend strictly and are finite; no value is negative,
-    NaN or infinite. ``points`` pairs the two columns up.
+    A series has at least one point. The abscissas ascend strictly and are
+    finite; no value is negative, NaN or infinite. ``points`` pairs the two
+    columns up.
     """
 
     label: str
     abscissa_name: str
-    abscissas: tuple[float, ...] = ()
-    values: tuple[float, ...] = ()
+    abscissas: tuple[float, ...]
+    values: tuple[float, ...]
 
     def __post_init__(self) -> None:
         xs, ys = self.abscissas, self.values
         if len(xs) != len(ys):
             raise ValueError(f"{self.label}: {len(xs)} abscissas but {len(ys)} values")
+        if not xs:
+            raise ValueError(f"{self.label}: no points")
         # C-level passes over the columns; only a failed check walks the
         # points, to name the first bad one
-        if not xs or (
+        if (
             -math.inf < xs[0]
             and xs[-1] < math.inf
             and all(map(operator.lt, xs, islice(xs, 1, None)))
@@ -119,14 +122,17 @@ class SweepSeries(Record):
 
 @lru_cache(maxsize=3, typed=True)
 def _sample_axis(lo: float, hi: float, num_steps: int, axis: str = "x") -> tuple[float, ...]:
-    """Uniform float samples on [lo, hi], 0 <= lo < hi, with both endpoints exact.
+    """Uniform float samples on [lo, hi], 0 <= lo <= hi, with both endpoints exact.
 
-    num_steps is an integral count within SWEEP_STEPS. Raises ValueError
-    naming the axis when the samples are not strictly ascending, that is
-    when the step is below float resolution at hi. The last three axes are
-    kept, so profiles over one axis share its samples.
+    num_steps is an integral count within SWEEP_STEPS; the axis of hi == lo
+    is the one sample lo at any count. Raises ValueError naming the axis
+    when the samples are not strictly ascending, that is when the step is
+    below float resolution at hi. The last three axes are kept, so profiles
+    over one axis share its samples.
     """
     _require(SWEEP_STEPS, num_steps=num_steps)
+    if hi == lo:
+        return (float(lo),)
     num_steps = int(num_steps)
     step = (hi - lo) / (num_steps - 1)
     xs = [lo + i * step for i in range(num_steps)]
@@ -187,13 +193,8 @@ def ground_density_profile(
     """
     _require(POSITIVE, altitude_m=altitude_m)
     _require(NON_NEGATIVE, offset_max_m=offset_max_m)
-    _require(SWEEP_STEPS, num_steps=num_steps)  # also for the one-point axis at offset_max_m == 0
+    offsets = _sample_axis(0.0, offset_max_m, num_steps, "ground_offset_m")
     power, gain = tx.power_w, tx.linear_gain()
-    offsets = (
-        (0.0,)
-        if offset_max_m == 0.0
-        else _sample_axis(0.0, offset_max_m, num_steps, "ground_offset_m")
-    )
     return _sweep(
         f"ground power density, platform at {altitude_m:g} m",
         "ground_offset_m",

@@ -193,9 +193,11 @@ def _check_field_inputs(power_w: float, gain_linear: float, range_m: float) -> N
 # once can call a kernel per point and still match the single-point call bit
 # for bit. The inverse-square law is stated once, in _power_density, which
 # divides by 4*pi*R and then by R; Friis is that density times the receive
-# aperture Gr*lambda^2/(4*pi). No kernel squares the range, so for a positive
-# finite range neither raises: a value too small for a float rounds to 0 or
-# a subnormal, and one too large is inf, which the public function reports.
+# aperture Gr*lambda^2/(4*pi), and a power of 0 W receives 0 W at any
+# aperture, even one that overflows. No kernel squares the range, so for a
+# positive finite range neither raises: a value too small for a float rounds
+# to 0 or a subnormal, and one too large is inf, which the public function
+# reports.
 _FOUR_PI = 4.0 * math.pi
 
 
@@ -206,6 +208,8 @@ def _power_density(power_w: float, gain_linear: float, range_m: float) -> float:
 def _received_power(
     power_w: float, tx_gain_linear: float, rx_gain_linear: float, lam: float, range_m: float
 ) -> float:
+    if power_w == 0.0:  # the zero keeps its sign, as the density's does
+        return power_w
     return _power_density(power_w, tx_gain_linear, range_m) * (rx_gain_linear * lam * lam / _FOUR_PI)
 
 
@@ -264,8 +268,6 @@ def received_power(
     power = _received_power(power_w, tx_gain_linear, rx_gain_linear, lam, range_m)
     if power < math.inf:  # also rejects NaN, a zero density or aperture times an infinite one
         return power
-    if power_w == 0.0:  # 0 W, even where the aperture is inf and the product NaN
-        return 0.0
     gains = power_w * tx_gain_linear * rx_gain_linear
     inputs = {"power_w": power_w, "tx_gain_linear": tx_gain_linear, "rx_gain_linear": rx_gain_linear}
     raise _beyond_float_range(

@@ -519,7 +519,10 @@ ONE_LINE_ERRORS = {
     "section-geometry": (("table1",), {"geometry": 3}, 1, "invalid scenario: geometry must be a JSON object"),
     "section-solar-fuel": (
         ("table1",), {"green": {"balloon": {"source_kind": "SOLAR", "fuel_liters_per_hour": 1.0}}}, 1,
-        "invalid scenario: green.balloon: a SOLAR profile must have all emission fields at 0"),
+        "invalid scenario: green.balloon: a SOLAR profile must have fuel_liters_per_hour at 0"),
+    "section-grid-fuel": (
+        ("green",), {"green": {"terrestrial": {"source_kind": "GRID", "fuel_liters_per_hour": 5}}}, 1,
+        "invalid scenario: green.terrestrial: a GRID profile must have fuel_liters_per_hour at 0"),
     "section-profile-number": (
         ("table1",), {"green": {"terrestrial": {"fuel_liters_per_hour": -1.0}}}, 1,
         "invalid scenario: green.terrestrial.fuel_liters_per_hour must be >= 0"),

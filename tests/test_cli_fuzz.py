@@ -5,7 +5,8 @@ cases, picks a random subcommand with random flags, and checks the
 contract every input must keep: exit 0, 1 or 2, at most one `error:` line
 and no traceback. A nonzero exit leaves the output tree as it was (no new
 file or directory, no staged or temporary file); exit 0 names only
-complete files.
+complete files, and neither they nor linkbudget's stdout print a NaN or an
+infinity.
 """
 
 import contextlib
@@ -13,6 +14,7 @@ import copy
 import io
 import json
 import random
+import re
 import traceback
 from pathlib import Path
 
@@ -32,6 +34,8 @@ VALUE_POOL = (
 )
 FLAG_POOL = ("0", "-1", "2.5", "7", "127", "5e-324", "1e300", "-1e300", "nan", "inf", "abc", "", _BIG_DIGITS)
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_IO}
+# a NaN or an infinity, as fmt and :g print them
+NON_FINITE = re.compile(rb"\b(?:nan|inf)\b")
 
 
 def _paths(node, prefix=()):
@@ -127,6 +131,9 @@ def test_seeded_cli_cases_keep_the_contract(tmp_path):
             if line.startswith("wrote "):
                 content = Path(line.removeprefix("wrote ")).read_bytes()
                 assert content.endswith(b"\n") and b"\n\n" not in content, where
+                assert not NON_FINITE.search(content), f"{line}: {content[:300]!r}; {where}"
+        if code == cli.EXIT_OK and command == "linkbudget":
+            assert not NON_FINITE.search(stdout.encode()), f"stdout: {stdout}; {where}"
         codes.append(code)
     # the pool reaches every exit code, so no branch of the contract is vacuous
     assert set(codes) == EXIT_CODES

@@ -230,7 +230,8 @@ class TestUnionArea:
     )
     def test_area_beyond_float_range_rejected(self, count, radius_km):
         constellation = cov.constellation_layout(count, radius_km)
-        with pytest.raises(ValueError, match=re.escape(f"radius_km={radius_km:g} is too large")):
+        message = f"union area at radius_km={radius_km:g} is beyond float range"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             cov.union_area_km2(constellation)
 
     def test_two_adjacent_cells_lose_one_lens(self):

@@ -12,6 +12,19 @@ class TestProfiles:
                 source_kind=em.SourceKind.SOLAR, fuel_liters_per_hour=1.0
             )
 
+    @pytest.mark.parametrize(
+        "kind, fields, field",
+        [
+            ("SOLAR", dict(grid_emission_kg_per_kwh=0.5), "grid_emission_kg_per_kwh"),
+            ("GRID", dict(fuel_liters_per_hour=5.0), "fuel_liters_per_hour"),
+            ("DIESEL", dict(fuel_liters_per_hour=2.0, grid_kwh_per_hour=1.0), "grid_kwh_per_hour"),
+        ],
+        ids=["solar", "grid-with-fuel", "diesel-with-grid"],
+    )
+    def test_a_profile_sets_only_its_kinds_fields(self, kind, fields, field):
+        with pytest.raises(ValueError, match=f"^a {kind} profile must have {field} at 0$"):
+            em.PowerSourceProfile(em.SourceKind[kind], **fields)
+
     def test_negative_fields_rejected(self):
         with pytest.raises(ValueError):
             em.PowerSourceProfile(

@@ -9,6 +9,7 @@ from balloonlink import exposure as exp
 from balloonlink.propagation import (
     TransmitterConfig,
     power_density,
+    received_power,
     slant_range,
 )
 
@@ -132,6 +133,14 @@ class TestReceivedPowerProfile:
         values = exp.received_power_profile(TX, 0.0, 200.0, 400.0, 0.0).values
         assert all(b < a for a, b in zip(values, values[1:]))
 
+    def test_zero_power_receives_zero_where_the_aperture_overflows(self):
+        # lambda^2 at 1e-200 MHz is beyond float range, but 0 W receives 0 W
+        tx = TransmitterConfig(0.0, freq_mhz=1e-200)
+        series = exp.received_power_profile(tx, 0.0, 200.0, 400.0, 0.0, num_steps=5)
+        gain = tx.linear_gain()
+        assert series.values == tuple(received_power(0.0, gain, 1.0, 1e-200, a) for a in series.abscissas)
+        assert series.values == (0.0,) * 5
+
 
 def _received_power_profile(tx, *axis):
     return exp.received_power_profile(tx, 0.0, *axis)
@@ -204,6 +213,12 @@ class TestSweepSeriesInvariants:
         with pytest.raises(ValueError, match="^x: 2 abscissas but 1 values$"):
             exp.SweepSeries("x", "r", (0.0, 1.0), (1.0,))
 
+    def test_a_series_has_a_point(self):
+        with pytest.raises(ValueError, match="^x: no points$"):
+            exp.SweepSeries("x", "r", (), ())
+        with pytest.raises(TypeError, match="missing the arguments"):
+            exp.SweepSeries("x", "r")
+
     def test_points_pair_the_columns(self):
         series = exp.ground_density_profile(TX, 150.0, 25.0, num_steps=11)
         assert len(series.points) == 11
@@ -221,6 +236,8 @@ class TestSweepSeriesInvariants:
         samples = exp._sample_axis(1, 2, 3)
         assert samples == (1.0, 1.5, 2.0)
         assert all(type(x) is float for x in samples)
+        one = exp._sample_axis(0, 0, 3)
+        assert one == (0.0,) and type(one[0]) is float
 
 
 class TestZones:

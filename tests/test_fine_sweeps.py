@@ -137,17 +137,6 @@ def test_csv_bytes(tmp_path, steps):
     assert (out / "table1.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
-def test_empty_series_adds_no_row(monkeypatch):
-    # the CLI never builds a series without points; a renderer given one
-    # writes the header lines alone, as a row per point would
-    empty = exp.SweepSeries("empty", "range_m")
-    monkeypatch.setitem(cli._FIGURES, "fig7", (lambda s: empty, lambda s: 10.0, "W/m2", ()))
-    args = cli.build_parser().parse_args(["exposure", "--figure", "fig7"])
-    (name, lines, _), = cli._exposure(scen.load_scenario(scen.default_scenario_path()), args)
-    assert name == "fig7.csv"
-    assert lines == ["# series: empty; abscissa: range_m", "abscissa,value,unit"]
-
-
 def _exposure_files(monkeypatch, figures: dict) -> dict:
     """Every figure's lines from cli._exposure, with figures patched into cli._FIGURES."""
     for figure, entry in figures.items():

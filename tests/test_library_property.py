@@ -141,6 +141,14 @@ def test_raises_value_error_or_returns_finite(name):
             "terrestrial annual emissions at balloon_radius_km=1e+100, terrestrial_radius_km=1e-05, "
             "fuel_liters_per_hour=1e+100, hours_per_year=8760, emission_factor_kg_per_liter=1e+100",
         ),
+        (
+            lambda: cov.union_area_km2(cov.constellation_layout(1, 1e200)),
+            "union area at radius_km=1e+200",
+        ),
+        (
+            lambda: cov.replacement_count(1e155, 1.0),
+            "area ratio at balloon_radius_km=1e+155, terrestrial_radius_km=1",
+        ),
     ],
     ids=[
         "wavelength",
@@ -152,6 +160,8 @@ def test_raises_value_error_or_returns_finite(name):
         "hata-path-loss",
         "annual-emissions",
         "compare",
+        "union-area",
+        "area-ratio",
     ],
 )
 def test_value_beyond_float_range_names_the_inputs(call, message):
@@ -246,6 +256,107 @@ DIESEL = em.diesel_profile()
 def test_argument_error_speaks_the_bounds_grammar(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# The sweep-versus-scalar property: on seeded draws of a transmitter and an
+# axis that can be sampled, each profile either raises the error its public
+# scalar raises at an end of the axis, or equals that scalar at every
+# abscissa, bit for bit. The pools reach a zero power, an aperture
+# Gr*lambda^2 beyond float range and slant ranges near the top of it.
+SWEEP_POWERS_W = (0.0, 1e-300, 20.0, 1e300, 1.7e308)
+SWEEP_GAINS = (1e-300, 50.0, 1e300)
+SWEEP_FREQS_MHZ = (1e-300, 1e-200, 1e-160, 1e-10, 900.0, 1e200, 1e303)
+SWEEP_RX_GAINS_DB = (-3000.0, -300.0, 0.0, 300.0, 3000.0)
+SWEEP_LENGTHS_M = (5e-324, 1e-200, 1e-10, 1.0, 150.0, 1e150, 1e300, 1.5e308)
+SWEEP_STEP_COUNTS = (2, 3, 5, 17)
+SWEEP_DRAWS = 1500
+
+
+def _ground_case(rng, tx):
+    altitude, offset_max = rng.choice(SWEEP_LENGTHS_M), rng.choice((0.0, *SWEEP_LENGTHS_M))
+    power, gain = tx.power_w, tx.linear_gain()
+    return (
+        (0.0, offset_max, "ground_offset_m"),
+        lambda steps: exp.ground_density_profile(tx, altitude, offset_max, steps),
+        lambda d: prop.power_density(power, gain, prop.slant_range(altitude, d)),
+    )
+
+
+def _altitude_case(rng, tx):
+    low, high = sorted(rng.sample(SWEEP_LENGTHS_M, 2))
+    offset = rng.choice((0.0, *SWEEP_LENGTHS_M))
+    power, gain = tx.power_w, tx.linear_gain()
+    return (
+        (low, high, "altitude_m"),
+        lambda steps: exp.altitude_density_profile(tx, low, high, offset, steps),
+        lambda a: prop.power_density(power, gain, prop.slant_range(a, offset)),
+    )
+
+
+def _range_case(rng, tx):
+    low, high = sorted(rng.sample(SWEEP_LENGTHS_M, 2))
+    power, gain = tx.power_w, tx.linear_gain()
+    return (
+        (low, high, "range_m"),
+        lambda steps: exp.range_density_profile(tx, low, high, steps),
+        lambda r: prop.power_density(power, gain, r),
+    )
+
+
+def _received_case(rng, tx):
+    low, high = sorted(rng.sample(SWEEP_LENGTHS_M, 2))
+    offset, rx_gain_db = rng.choice((0.0, *SWEEP_LENGTHS_M)), rng.choice(SWEEP_RX_GAINS_DB)
+    power, gain, rx_gain = tx.power_w, tx.linear_gain(), prop.db_to_linear(rx_gain_db)
+    return (
+        (low, high, "altitude_m"),
+        lambda steps: exp.received_power_profile(tx, rx_gain_db, low, high, offset, steps),
+        lambda a: prop.received_power(power, gain, rx_gain, tx.freq_mhz, prop.slant_range(a, offset)),
+    )
+
+
+# profile name -> draw(rng, transmitter) -> ((lo, hi, axis), profile(steps), scalar(x))
+SWEEP_CASES = {
+    "ground_density_profile": _ground_case,
+    "altitude_density_profile": _altitude_case,
+    "range_density_profile": _range_case,
+    "received_power_profile": _received_case,
+}
+
+
+def _error(call, *args) -> str | None:
+    try:
+        call(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", SWEEP_CASES)
+def test_sweep_is_its_scalar_at_every_abscissa(name):
+    rng = random.Random(name)
+    compared = 0
+    for _ in range(SWEEP_DRAWS):
+        tx = prop.TransmitterConfig(
+            rng.choice(SWEEP_POWERS_W), gain_linear=rng.choice(SWEEP_GAINS), freq_mhz=rng.choice(SWEEP_FREQS_MHZ)
+        )
+        (lo, hi, axis), profile, scalar = SWEEP_CASES[name](rng, tx)
+        steps = rng.choice(SWEEP_STEP_COUNTS)
+        try:
+            xs = exp._sample_axis(lo, hi, steps, axis)
+        except ValueError:
+            continue  # finer than float resolution: no scalar is evaluated
+        where = f"{name}: {tx}, axis {xs[0]!r}..{xs[-1]!r} in {len(xs)}"
+        try:
+            series = profile(steps)
+        except ValueError as exc:
+            assert str(exc) in {_error(scalar, xs[0]), _error(scalar, xs[-1])}, f"{where}: {exc}"
+            continue
+        assert series.abscissas == xs, where
+        expected = tuple(scalar(x) for x in xs)
+        assert list(map(float.hex, series.values)) == list(map(float.hex, expected)), where
+        compared += 1
+    # enough draws reach the comparison that it is not vacuous
+    assert compared > SWEEP_DRAWS // 10, compared
 
 
 def test_an_integral_float_count_is_a_count():

@@ -617,7 +617,7 @@ class TestRecord:
         assert (tx.power_w, tx.gain_db, tx.freq_mhz) == (20.0, 10.0, 800.0)
         assert (tx.antenna_dim_m, tx.gain_linear) == (1.0, None)
         assert prop.TransmitterConfig(power_w=20.0) == prop.TransmitterConfig(20.0)
-        assert exp.SweepSeries("x", "r").points == ()
+        assert exp.ZoneThresholds(4.5) == exp.ZoneThresholds(limit_w_m2=4.5, caution_fraction=0.1)
 
     @pytest.mark.parametrize(
         "args, kwargs",
