@@ -314,7 +314,8 @@ _COMMON_FLAGS = {
 def _replace_all(out: Path, files: list[tuple[str, list[str]]]) -> None:
     """Replace the named files in the directory out as one set, or none of them.
 
-    out is created with its missing parents. Each file is written once,
+    out is created with its missing parents; an out that is not a directory
+    fails the call before anything is staged. Each file is written once,
     under a hidden staged name in out qualified by the process id. Only
     when every write has succeeded and no target is a directory (which a
     rename cannot replace) is each staged file renamed, once, onto its
@@ -327,6 +328,8 @@ def _replace_all(out: Path, files: list[tuple[str, list[str]]]) -> None:
         for directory in reversed(missing):
             directory.mkdir()
             created.append(directory)
+        if not out.is_dir():
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out))
         for name, lines in files:
             stage = out / f".{name}.{os.getpid()}.staged"
             # listed only once written: the create is exclusive, so a file

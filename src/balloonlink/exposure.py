@@ -162,11 +162,13 @@ def _sweep(label: str, abscissa_name: str, xs, single_point, values) -> SweepSer
     return SweepSeries(label, abscissa_name, xs, tuple(values))
 
 
-def _check_range(axis: str, lo: float, hi: float) -> None:
+def _axis(axis: str, lo: float, hi: float, num_steps: int) -> tuple[float, ...]:
+    """The samples of the swept {axis}_m on [lo, hi], once lo > 0 and hi > lo are checked."""
     _require(POSITIVE, **{f"{axis}_min_m": lo})
     _require((), **{f"{axis}_max_m": hi})
     if not hi > lo:
         raise ValueError(f"{axis}_max_m must be > {axis}_min_m")
+    return _sample_axis(lo, hi, num_steps, f"{axis}_m")
 
 
 def table_one(
@@ -212,10 +214,9 @@ def altitude_density_profile(
     num_steps: int = DEFAULT_NUM_STEPS,
 ) -> SweepSeries:
     """Ground-point power density as the platform altitude rises."""
-    _check_range("altitude", altitude_min_m, altitude_max_m)
     _require(NON_NEGATIVE, ground_offset_m=ground_offset_m)
+    altitudes = _axis("altitude", altitude_min_m, altitude_max_m, num_steps)
     power, gain = tx.power_w, tx.linear_gain()
-    altitudes = _sample_axis(altitude_min_m, altitude_max_m, num_steps, "altitude_m")
     return _sweep(
         f"power density vs platform altitude, offset {ground_offset_m:g} m",
         "altitude_m",
@@ -232,9 +233,8 @@ def range_density_profile(
     num_steps: int = DEFAULT_NUM_STEPS,
 ) -> SweepSeries:
     """Power density over a straight-line distance sweep (1/R^2 falloff)."""
-    _check_range("range", range_min_m, range_max_m)
+    ranges = _axis("range", range_min_m, range_max_m, num_steps)
     power, gain = tx.power_w, tx.linear_gain()
-    ranges = _sample_axis(range_min_m, range_max_m, num_steps, "range_m")
     return _sweep(
         "power density vs distance",
         "range_m",
@@ -253,12 +253,11 @@ def received_power_profile(
     num_steps: int = DEFAULT_NUM_STEPS,
 ) -> SweepSeries:
     """Received power at a ground point as the platform altitude rises, at tx.freq_mhz."""
-    _check_range("altitude", altitude_min_m, altitude_max_m)
     _require(NON_NEGATIVE, ground_offset_m=ground_offset_m)
+    altitudes = _axis("altitude", altitude_min_m, altitude_max_m, num_steps)
     power, tx_gain, freq_mhz = tx.power_w, tx.linear_gain(), tx.freq_mhz
     rx_gain = db_to_linear(rx_gain_db)
     lam = wavelength_m(freq_mhz)
-    altitudes = _sample_axis(altitude_min_m, altitude_max_m, num_steps, "altitude_m")
     return _sweep(
         f"received power vs platform altitude, offset {ground_offset_m:g} m",
         "altitude_m",

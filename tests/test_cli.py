@@ -188,6 +188,25 @@ class TestReplaceAll:
         assert {p.name: (p.read_bytes(), p.stat().st_ino) for p in out.iterdir() if p.is_file()} == old
         assert sorted(p.name for p in out.iterdir()) == sorted(f"{figure}.csv" for figure in FIGURE_IDS)
 
+    def test_out_naming_a_file_is_reported_under_its_own_name(self, run_cli, tmp_path, capsys):
+        out = tmp_path / "afile"
+        out.write_bytes(b"kept\n")
+        assert run_cli("exposure", "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"I/O error: [Errno 20] Not a directory: '{out}'\n"
+        assert out.read_bytes() == b"kept\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_output_dir_naming_a_file_is_reported_under_its_own_name(
+        self, run_cli, write_scenario, tmp_path, capsys
+    ):
+        out = tmp_path / "afile"
+        out.write_bytes(b"kept\n")
+        scenario = write_scenario({"transmitter": VALID_TRANSMITTER, "output_dir": str(out)})
+        assert run_cli("table1", "--scenario", str(scenario)) == 2
+        assert capsys.readouterr().err == f"I/O error: [Errno 20] Not a directory: '{out}'\n"
+        assert out.read_bytes() == b"kept\n"
+        assert sorted(tmp_path.iterdir()) == sorted([out, scenario])
+
 
 class TestCoverage:
     def test_reference_inversion(self, run_cli, tmp_path):
@@ -529,6 +548,10 @@ ONE_LINE_ERRORS = {
     "section-source-kind": (
         ("green",), {"green": {"terrestrial": {"source_kind": "COAL"}}}, 1,
         "invalid scenario: green.terrestrial.source_kind must be one of DIESEL, SOLAR, GRID"),
+    "section-source-kind-unknown-key": (
+        ("green",), {"green": {"terrestrial": {"source_kind": "COAL", "bogus": 1}}}, 1,
+        "invalid scenario: unknown key 'bogus' in green.terrestrial; "
+        "green.terrestrial.source_kind must be one of DIESEL, SOLAR, GRID"),
     "section-distances": (
         ("table1",), {"sweeps": {"distances_m": 5}}, 1,
         "invalid scenario: sweeps.distances_m must be a list of numbers"),
@@ -624,6 +647,15 @@ ONE_LINE_ERRORS = {
     # valid sweeps whose step is below float resolution at the upper end
     "sweep-altitude-finer-than-float": (
         ("exposure",), {"sweeps": {"altitude": {"min": 200, "max": 200.00000000000006, "steps": 101}}}, 1,
+        "altitude_m sweep from 200.0 to 200.00000000000006 in 101 steps is finer than float resolution"),
+    # the axis is sampled before the gain is read, in fig6 as in fig4
+    "sweep-altitude-finer-than-float-gain-overflow-fig6": (
+        ("exposure", "--figure", "fig6"),
+        {
+            "transmitter": {"gain_db": 1e308},
+            "sweeps": {"altitude": {"min": 200, "max": 200.00000000000006, "steps": 101}},
+        },
+        1,
         "altitude_m sweep from 200.0 to 200.00000000000006 in 101 steps is finer than float resolution"),
     "sweep-range-finer-than-float": (
         ("exposure", "--figure", "fig7"),

@@ -157,6 +157,9 @@ class TestSweepArguments:
             (exp.ground_density_profile, (150.0, -1.0), "offset_max_m must be >= 0"),
             (exp.altitude_density_profile, (200.0, 400.0, -1.0), "ground_offset_m must be >= 0"),
             (_received_power_profile, (200.0, 400.0, -1.0), "ground_offset_m must be >= 0"),
+            # the geometry is checked before the axis
+            (exp.altitude_density_profile, (400.0, 200.0, -1.0), "ground_offset_m must be >= 0"),
+            (_received_power_profile, (400.0, 200.0, -1.0), "ground_offset_m must be >= 0"),
         ],
         ids=[
             "ground-steps",
@@ -166,11 +169,30 @@ class TestSweepArguments:
             "ground-offset",
             "altitude-offset",
             "received-offset",
+            "altitude-offset-before-axis",
+            "received-offset-before-axis",
         ],
     )
     def test_rejected(self, profile, args, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             profile(TX, *args)
+
+    # each profile checks and samples its axis before it reads the
+    # transmitter, so a call wrong in both names the same argument in each
+    @pytest.mark.parametrize(
+        "profile, args",
+        [
+            (exp.ground_density_profile, (150.0, 25.0, 2.5)),
+            (exp.altitude_density_profile, (200.0, 400.0, 0.0, 2.5)),
+            (exp.range_density_profile, (10.0, 500.0, 2.5)),
+            (_received_power_profile, (200.0, 400.0, 0.0, 2.5)),
+            (lambda tx, *axis: exp.received_power_profile(tx, 5000.0, *axis), (200.0, 400.0, 0.0, 2.5)),
+        ],
+        ids=["ground", "altitude", "range", "received", "received-rx-gain"],
+    )
+    def test_axis_is_checked_before_the_transmitter(self, profile, args):
+        with pytest.raises(ValueError, match="^num_steps must be an integer >= 2$"):
+            profile(TransmitterConfig(20.0, gain_db=1e308), *args)
 
 
 class TestSweepSeriesInvariants:
