@@ -7,6 +7,10 @@ of a product's files before it writes any, replaces them as one set and
 only then reports them. Exit codes: 0 success, 1 validation or usage
 error, 2 I/O error.
 
+``main(argv)`` touches no process state: it reads only the argv it is
+given and no file descriptor, so it runs in-process as well as in its
+own process (``__main__.run``, which owns the process).
+
 ``main`` reads an argv of the shape ``COMMAND (--flag VALUE)*`` straight
 from the flag tables; argparse is imported only to word help, the version
 and usage errors (``build_parser``).
@@ -365,22 +369,13 @@ def _run(scenario: Scenario, args: SimpleNamespace) -> None:
     if any(name is not None for name, _ in files):
         out = args.out if args.out is not None else Path(scenario.output_dir)
         _replace_all(out, [(name, lines) for name, lines in files if name is not None])
+    if sys.stdout is None:  # descriptor 1 was closed when the process started
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
     for name, lines in files:
         if name is None:
             sys.stdout.write(render(lines))
         else:
             print(f"wrote {out / name}")
-
-
-def _stdout_to_devnull() -> None:
-    """Point stdout's descriptor at os.devnull, so the flush at exit cannot fail again."""
-    try:
-        fd = sys.stdout.fileno()
-    except (AttributeError, OSError, ValueError):  # an in-process stream has none
-        return
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, fd)
-    os.close(devnull)
 
 
 def build_parser():
@@ -449,16 +444,22 @@ def _parse_quick(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], **{flag[2:].replace("-", "_"): v for flag, v in values.items()})
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = _parse_quick(argv) or build_parser().parse_args(argv, SimpleNamespace())
+def main(argv: list[str]) -> int:
+    """Run the CLI on argv (without the program name) and return its exit code.
+
+    Help, the version and usage errors raise argparse's SystemExit. Every
+    write to stdout, argparse's included, is flushed before the return, so
+    a dead stdout is one I/O error line like any other.
+    """
     try:
-        scenario_path = args.scenario if args.scenario is not None else default_scenario_path()
-        _run(load_scenario(scenario_path), args)
-        sys.stdout.flush()
+        try:
+            args = _parse_quick(argv) or build_parser().parse_args(argv, SimpleNamespace())
+            scenario_path = args.scenario if args.scenario is not None else default_scenario_path()
+            _run(load_scenario(scenario_path), args)
+        finally:
+            if sys.stdout is not None:
+                sys.stdout.flush()
     except OSError as exc:
-        if isinstance(exc, BrokenPipeError):
-            _stdout_to_devnull()
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, ArithmeticError) as exc:

@@ -81,22 +81,36 @@ def default_scenario_path() -> Path:
     return Path(__file__).with_name("data") / "default_scenario.json"
 
 
+# The largest scenario file read, about 28 times the largest benchmark
+# scenario (10001 distances, 149 KB): a source that never ends, such as
+# /dev/zero, is refused after this many characters instead of filling
+# memory. UTF-8 text has at most as many characters as bytes, so a refused
+# file is always larger than this many bytes.
+MAX_SCENARIO_BYTES = 4 * 1024 * 1024
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Read, parse and validate a scenario file.
 
     Raises OSError if the file cannot be read, ScenarioParseError for
-    text that is not UTF-8, malformed or too deeply nested JSON and an
-    integer too long to parse, and ScenarioValidationError (listing every
-    violation) for constraint failures.
+    text that is not UTF-8, a file larger than MAX_SCENARIO_BYTES,
+    malformed or too deeply nested JSON and an integer too long to parse,
+    and ScenarioValidationError (listing every violation) for constraint
+    failures.
     """
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as source:
+            text = source.read(MAX_SCENARIO_BYTES + 1)
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"{path}: byte {exc.start}: not UTF-8 text") from exc
+    if len(text) > MAX_SCENARIO_BYTES:
+        raise ScenarioParseError(f"{path}: larger than {MAX_SCENARIO_BYTES} bytes")
+    try:
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except UnicodeDecodeError as exc:
-        raise ScenarioParseError(f"{path}: byte {exc.start}: not UTF-8 text") from exc
     except RecursionError as exc:
         raise ScenarioParseError(f"{path}: JSON nested too deeply") from exc
     except ValueError as exc:  # the rest: an int past the interpreter's digit limit
@@ -244,9 +258,8 @@ def _profile(value, qualified: str, default_kind: SourceKind, problems: list[str
         problems.append(f"{qualified}.source_kind must be one of {kinds}")
         return None
     defaults = _PROFILE_DEFAULTS[SourceKind[kind.upper()]]
-    before = len(problems)
     numbers = _numbers(section, qualified, _rows(PowerSourceProfile, defaults), problems)
-    if len(problems) > before:
+    if None in numbers.values():  # _number has appended the problem
         return None
     try:
         return PowerSourceProfile(defaults.source_kind, **numbers)
@@ -258,9 +271,8 @@ def _profile(value, qualified: str, default_kind: SourceKind, problems: list[str
 def _sweep_range(value, qualified: str, lo, hi, lo_bounds, problems: list[str]):
     rows = (("min", lo, lo_bounds), ("max", hi, SweepRange._bounds["max"]), _STEPS)
     section = _object(value, qualified, {key for key, _, _ in rows}, problems)
-    before = len(problems)
     numbers = _numbers(section, qualified, rows, problems)
-    if len(problems) > before:
+    if None in numbers.values():  # _number has appended the problem
         return None
     if not numbers["max"] > numbers["min"]:
         problems.append(f"{qualified}.max must be > {qualified}.min")

@@ -6,6 +6,7 @@ import hashlib
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -1004,6 +1005,98 @@ class TestClosedStdout:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (2, "I/O error: [Errno 32] Broken pipe\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == self.FIGURES
+
+    @pytest.mark.parametrize(
+        "argv", [["--help"], ["exposure", "--help"], ["--version"]], ids=["help", "exposure-help", "version"]
+    )
+    def test_help_and_version_into_a_closed_pipe_exit_2_with_one_line(self, argv):
+        # argparse writes into stdout's buffer and exits; the flush on the
+        # way out fails, as for a product's report. Under PYTHONUNBUFFERED
+        # argparse swallows the write error itself and exits 0
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "balloonlink", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (2, "I/O error: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.parametrize(
+        "argv, written",
+        [(["table1", "--out", "{out}"], ["table1.csv"]), (["linkbudget"], [])],
+        ids=["table1", "linkbudget"],
+    )
+    def test_stdout_closed_at_start_exits_2_with_one_line(self, tmp_path, argv, written):
+        # descriptor 1 closed before Python starts leaves sys.stdout None
+        argv = [arg.format(out=tmp_path) for arg in argv]
+        result = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "balloonlink", *argv],
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert (result.returncode, result.stderr) == (2, "I/O error: [Errno 9] Bad file descriptor: '<stdout>'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == written
+
+    @pytest.mark.parametrize("argv, code", [(["bogus"], 1), (["--help"], 0)], ids=["usage-error", "help"])
+    def test_stdout_closed_at_start_keeps_usage_and_help_codes(self, argv, code):
+        # argparse writes both to stderr when there is no stdout
+        result = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "balloonlink", *argv],
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert result.returncode == code
+        assert "Traceback" not in result.stderr and "I/O error" not in result.stderr
+
+    def test_no_stdout_in_process_is_one_io_error(self, run_cli, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)
+        assert run_cli("table1", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == "I/O error: [Errno 9] Bad file descriptor: '<stdout>'\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["table1.csv"]
+
+    def test_main_leaves_the_callers_descriptor_alone(self, tmp_path, capsys, monkeypatch):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stream = open(write_end, "w", buffering=1, closefd=False)
+        try:
+            monkeypatch.setattr(sys, "stdout", stream)
+            assert cli.main(["table1", "--out", str(tmp_path)]) == 2
+            assert capsys.readouterr().err == "I/O error: [Errno 32] Broken pipe\n"
+            assert stat.S_ISFIFO(os.fstat(write_end).st_mode)
+        finally:
+            monkeypatch.undo()
+            try:
+                stream.close()  # flushes the report the dead pipe refused
+            except BrokenPipeError:
+                pass
+            os.close(write_end)
+
+    def test_run_points_a_dead_stdout_at_devnull(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(gc, "freeze", lambda: None)  # keep this process unfrozen
+        monkeypatch.setattr(sys, "argv", ["balloonlink", "table1", "--out", str(tmp_path)])
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stream = open(write_end, "w", buffering=1, closefd=False)
+        try:
+            monkeypatch.setattr(sys, "stdout", stream)
+            assert balloonlink_main.run() == 2
+            assert capsys.readouterr().err == "I/O error: [Errno 32] Broken pipe\n"
+            assert os.fstat(write_end).st_rdev == os.stat(os.devnull).st_rdev
+            stream.flush()  # the pending report now goes to os.devnull
+        finally:
+            monkeypatch.undo()
+            try:
+                stream.close()
+            except BrokenPipeError:
+                pass
+            os.close(write_end)
 
 
 def _data_rows(path):

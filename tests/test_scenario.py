@@ -276,6 +276,27 @@ class TestParseErrors:
         else:  # no digit limit: the int loads and fails its field's check
             assert excinfo.value.problems == ("transmitter.power_w must be finite",)
 
+    def test_file_over_the_size_cap_is_refused(self, tmp_path, monkeypatch):
+        text = json.dumps(MINIMAL)
+        monkeypatch.setattr(scen, "MAX_SCENARIO_BYTES", len(text) + 10)
+        at_cap, over_cap = tmp_path / "at.json", tmp_path / "over.json"
+        at_cap.write_text(text + " " * 10, encoding="utf-8")
+        over_cap.write_text(text + " " * 11, encoding="utf-8")
+        assert scen.load_scenario(at_cap).transmitter.power_w == 20.0
+        with pytest.raises(scen.ScenarioParseError) as excinfo:
+            scen.load_scenario(over_cap)
+        assert str(excinfo.value) == f"{over_cap}: larger than {len(text) + 10} bytes"
+
+    def test_file_over_the_size_cap_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        from balloonlink.cli import main
+
+        path = tmp_path / "over.json"
+        path.write_text(json.dumps(MINIMAL) + " " * 100, encoding="utf-8")
+        monkeypatch.setattr(scen, "MAX_SCENARIO_BYTES", 64)
+        assert main(["table1", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: larger than 64 bytes\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             scen.load_scenario(tmp_path / "nope.json")
