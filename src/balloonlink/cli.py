@@ -388,6 +388,13 @@ def build_parser():
             self.print_usage(sys.stderr)
             self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+        # argparse drops a failed write; raised, it reaches main's one I/O
+        # error. With neither stdout nor stderr there is nothing to write to.
+        def _print_message(self, message, file=None):
+            file = file or sys.stderr
+            if message and file is not None:
+                file.write(message)
+
     class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter, argparse.RawDescriptionHelpFormatter):
         """Show flag defaults but keep the epilog's line structure."""
 

@@ -15,8 +15,9 @@ read them.
 
 from __future__ import annotations
 
-import json
+import io
 import math
+from _json import make_scanner
 from pathlib import Path
 
 from .emissions import (
@@ -81,39 +82,88 @@ def default_scenario_path() -> Path:
     return Path(__file__).with_name("data") / "default_scenario.json"
 
 
-# The largest scenario file read, about 28 times the largest benchmark
-# scenario (10001 distances, 149 KB): a source that never ends, such as
-# /dev/zero, is refused after this many characters instead of filling
-# memory. UTF-8 text has at most as many characters as bytes, so a refused
-# file is always larger than this many bytes.
+# The largest scenario file read, in bytes, about 28 times the largest
+# benchmark scenario (10001 distances, 149 KB): a source that never ends,
+# such as /dev/zero, is refused after this many bytes instead of filling
+# memory.
 MAX_SCENARIO_BYTES = 4 * 1024 * 1024
+
+
+class _Decoder:
+    """json.loads' defaults, as the attributes the C scanner reads."""
+
+    strict = True
+    object_hook = object_pairs_hook = None
+    parse_float, parse_int = float, int
+    parse_constant = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}.__getitem__
+
+
+_scan = make_scanner(_Decoder)
+_WHITESPACE = " \t\n\r"
+
+
+def _decode_error(msg: str, text: str, pos: int) -> ValueError:
+    from json import JSONDecodeError
+
+    return JSONDecodeError(msg, text, pos)
+
+
+def _loads(text: str):
+    """json.loads(text): the C scanner json wraps, in JSONDecoder.decode's steps.
+
+    Each error is json's own JSONDecodeError, RecursionError or ValueError;
+    the json package is imported only on the way to a JSONDecodeError.
+    """
+    if text.startswith("\ufeff"):
+        raise _decode_error("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    start = len(text) - len(text.lstrip(_WHITESPACE))
+    try:
+        value, end = _scan(text, start)
+    except StopIteration as stop:
+        raise _decode_error("Expecting value", text, stop.value) from None
+    except SystemError:
+        # Before CPython 3.12 the scanner finds JSONDecodeError only in an
+        # imported json.decoder, and fails without one: import it and scan
+        # again, which raises the error json.loads would.
+        import json.decoder  # noqa: F401
+
+        value, end = _scan(text, start)
+    rest = text[end:].lstrip(_WHITESPACE)
+    if rest:
+        raise _decode_error("Extra data", text, len(text) - len(rest))
+    return value
 
 
 def load_scenario(path: str | Path) -> Scenario:
     """Read, parse and validate a scenario file.
 
-    Raises OSError if the file cannot be read, ScenarioParseError for
-    text that is not UTF-8, a file larger than MAX_SCENARIO_BYTES,
+    Raises OSError if the file cannot be read, ScenarioParseError for a
+    file larger than MAX_SCENARIO_BYTES, text that is not UTF-8,
     malformed or too deeply nested JSON and an integer too long to parse,
     and ScenarioValidationError (listing every violation) for constraint
     failures.
     """
-    try:
-        with open(path, encoding="utf-8") as source:
-            text = source.read(MAX_SCENARIO_BYTES + 1)
-    except UnicodeDecodeError as exc:
-        raise ScenarioParseError(f"{path}: byte {exc.start}: not UTF-8 text") from exc
-    if len(text) > MAX_SCENARIO_BYTES:
+    with open(path, "rb") as source:
+        data = source.read(MAX_SCENARIO_BYTES + 1)
+    if len(data) > MAX_SCENARIO_BYTES:
         raise ScenarioParseError(f"{path}: larger than {MAX_SCENARIO_BYTES} bytes")
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioParseError(
-            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+        # text mode's newline translation, so error lines count "\r" and "\r\n"
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"{path}: byte {exc.start}: not UTF-8 text") from exc
+    try:
+        raw = _loads(text)
     except RecursionError as exc:
         raise ScenarioParseError(f"{path}: JSON nested too deeply") from exc
-    except ValueError as exc:  # the rest: an int past the interpreter's digit limit
+    except ValueError as exc:
+        from json import JSONDecodeError
+
+        if isinstance(exc, JSONDecodeError):
+            raise ScenarioParseError(
+                f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            ) from exc
+        # the rest: an int past the interpreter's digit limit
         raise ScenarioParseError(f"{path}: an integer with too many digits to parse") from exc
     return scenario_from_dict(raw)
 

@@ -922,7 +922,7 @@ class TestEntryPoint:
         imported = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines() if "|" in line}
         assert (result.returncode, "balloonlink.cli" in imported) == (0, True)
         assert "key,value" in result.stdout.splitlines()
-        assert not imported & {"argparse", "gettext"}
+        assert not imported & {"argparse", "gettext", "json", "json.decoder", "json.scanner", "json.encoder"}
 
     def test_help_still_comes_from_argparse(self):
         result = _python("-m", "balloonlink", "--help")
@@ -973,6 +973,28 @@ class _ClosedPipe:
         raise BrokenPipeError(errno.EPIPE, "Broken pipe")
 
 
+def _into_closed_pipe(argv: list[str], unbuffered: bool) -> subprocess.CompletedProcess:
+    """`python -m balloonlink argv` with a stdout whose reader is gone before the first write."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "balloonlink", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+
+
+_HELP_AND_VERSION = {"help": ["--help"], "exposure-help": ["exposure", "--help"], "version": ["--version"]}
+
+
 class TestClosedStdout:
     FIGURES = sorted(f"{figure}.csv" for figure in FIGURE_IDS)
 
@@ -990,42 +1012,22 @@ class TestClosedStdout:
     def test_closed_pipe_exits_2_with_one_line(self, tmp_path):
         # Python's default block buffering: without PYTHONUNBUFFERED the
         # error surfaces at the flush, not at the first write
-        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-        read_end, write_end = os.pipe()
-        os.close(read_end)  # the reader is gone before the first write
-        try:
-            result = subprocess.run(
-                [sys.executable, "-m", "balloonlink", "exposure", "--out", str(tmp_path)],
-                stdout=write_end,
-                stderr=subprocess.PIPE,
-                text=True,
-                env=env,
-            )
-        finally:
-            os.close(write_end)
+        result = _into_closed_pipe(["exposure", "--out", str(tmp_path)], unbuffered=False)
         assert (result.returncode, result.stderr) == (2, "I/O error: [Errno 32] Broken pipe\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == self.FIGURES
 
-    @pytest.mark.parametrize(
-        "argv", [["--help"], ["exposure", "--help"], ["--version"]], ids=["help", "exposure-help", "version"]
-    )
+    @pytest.mark.parametrize("argv", _HELP_AND_VERSION.values(), ids=_HELP_AND_VERSION)
     def test_help_and_version_into_a_closed_pipe_exit_2_with_one_line(self, argv):
         # argparse writes into stdout's buffer and exits; the flush on the
-        # way out fails, as for a product's report. Under PYTHONUNBUFFERED
-        # argparse swallows the write error itself and exits 0
-        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            result = subprocess.run(
-                [sys.executable, "-m", "balloonlink", *argv],
-                stdout=write_end,
-                stderr=subprocess.PIPE,
-                text=True,
-                env=env,
-            )
-        finally:
-            os.close(write_end)
+        # way out fails, as for a product's report
+        result = _into_closed_pipe(argv, unbuffered=False)
+        assert (result.returncode, result.stderr) == (2, "I/O error: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.parametrize("argv", _HELP_AND_VERSION.values(), ids=_HELP_AND_VERSION)
+    def test_unbuffered_help_and_version_into_a_closed_pipe_exit_2_with_one_line(self, argv):
+        # the write itself fails; argparse would drop the error and exit 0,
+        # the parser raises it to main's one I/O error instead
+        result = _into_closed_pipe(argv, unbuffered=True)
         assert (result.returncode, result.stderr) == (2, "I/O error: [Errno 32] Broken pipe\n")
 
     @pytest.mark.parametrize(
@@ -1054,6 +1056,12 @@ class TestClosedStdout:
         )
         assert result.returncode == code
         assert "Traceback" not in result.stderr and "I/O error" not in result.stderr
+
+    @pytest.mark.parametrize("argv, code", [(["bogus"], 1), (["--help"], 0)], ids=["usage-error", "help"])
+    def test_stdout_and_stderr_closed_at_start_keep_usage_and_help_codes(self, argv, code):
+        # nowhere to write: the message is dropped, as argparse drops it
+        result = subprocess.run(["sh", "-c", 'exec "$@" >&- 2>&-', "sh", sys.executable, "-m", "balloonlink", *argv])
+        assert result.returncode == code
 
     def test_no_stdout_in_process_is_one_io_error(self, run_cli, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdout", None)

@@ -18,6 +18,8 @@ why:
 
     PYTHONPATH=src python tests/test_corpus.py --write
 
+--write first checks every job's outputs with the benchmark's independent
+oracle, ``perfbench/checker.py``, and writes nothing if it rejects one.
 Without --write the script checks the corpus; it needs no pytest.
 """
 
@@ -43,16 +45,17 @@ SEEDS = (1, 2, 3)
 STDOUT = "stdout"
 
 
-def _perfbench_scenarios():
-    path = ROOT / "perfbench" / "scenarios.py"
-    spec = importlib.util.spec_from_file_location("_corpus_perfbench_scenarios", path)
+def _perfbench(name: str):
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_corpus_perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
-scenarios = _perfbench_scenarios()
+scenarios = _perfbench("scenarios")
+checker = _perfbench("checker")
 WORKLOAD_SEEDS = [f"{workload}/{seed}" for workload in scenarios.WORKLOADS for seed in SEEDS]
 
 
@@ -73,14 +76,20 @@ def bundled(command: str, tmp: Path) -> dict[str, str]:
     return {**{name: data.decode() for name, data in files.items()}, STDOUT: stdout}
 
 
-def jobs(workload_seed: str, tmp: Path) -> dict[str, dict]:
-    """Job label -> exit code and the sha256 of each file and of stdout."""
+def jobs(workload_seed: str, tmp: Path, check: bool = False) -> dict[str, dict]:
+    """Job label -> exit code and the sha256 of each file and of stdout.
+
+    With check, the oracle checks each job's outputs and raises
+    checker.CheckError at the first it rejects.
+    """
     workload, seed = workload_seed.split("/")
     work = tmp / workload / seed
     result = {}
     for index, job in enumerate(scenarios.generate(workload, int(seed), work)):
         out = work / f"out{index}"
         code, stdout, files = run(job.argv(work, out), out)
+        if check:
+            checker.check(job.command, job.scenario, job.flags, out, stdout)
         result[job.label] = {
             "exit": code,
             "files": {name: hashlib.sha256(data).hexdigest() for name, data in files.items()},
@@ -123,6 +132,19 @@ else:
     def test_benchmark_jobs(workload_seed, tmp_path):
         assert jobs(workload_seed, tmp_path) == stored_jobs()[workload_seed]
 
+    def test_write_refuses_a_corpus_the_oracle_rejects(tmp_path, monkeypatch, capsys):
+        def reject(command, *args):
+            raise checker.CheckError(f"{command}: rejected")
+
+        monkeypatch.setattr(checker, "check", reject)
+        monkeypatch.setitem(globals(), "BUNDLED", tmp_path / "bundled")
+        monkeypatch.setitem(globals(), "JOBS", tmp_path / "jobs.json")
+        assert main(["--write"]) == 1
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err
+        assert err.startswith("the oracle rejects a job, corpus not written: ")
+        assert err.endswith(": rejected\n")
+
 
 def main(argv: list[str]) -> int:
     write = argv == ["--write"]
@@ -131,7 +153,11 @@ def main(argv: list[str]) -> int:
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         actual_bundled = {command: bundled(command, Path(tmp)) for command in cli.PRODUCTS}
-        actual_jobs = {key: jobs(key, Path(tmp)) for key in WORKLOAD_SEEDS}
+        try:
+            actual_jobs = {key: jobs(key, Path(tmp), check=write) for key in WORKLOAD_SEEDS}
+        except checker.CheckError as exc:
+            print(f"the oracle rejects a job, corpus not written: {exc}", file=sys.stderr)
+            return 1
     if write:
         shutil.rmtree(BUNDLED, ignore_errors=True)
         for command, files in actual_bundled.items():

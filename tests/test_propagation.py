@@ -562,6 +562,17 @@ _BEYOND_FLOAT_RANGE_ELSEWHERE = {
         dict(power_w=1e308, tx_gain_linear=1e10, range_m=200.0),
         "received power at power_w=1e+308, tx_gain_linear=1e+10, rx_gain_linear=1",
     ),
+    # 30*P and P alone are finite here, so only the product P*G blames P and G
+    "PG-overflows-in-30PG": (
+        "e_field_rms",
+        dict(power_w=1e300, gain_linear=1e10),
+        "rms E-field at power_w=1e+300, gain_linear=1e+10",
+    ),
+    "PGt-overflows-in-PGtGr": (
+        "received_power",
+        dict(power_w=1e300, tx_gain_linear=1e10),
+        "received power at power_w=1e+300, tx_gain_linear=1e+10, rx_gain_linear=1",
+    ),
     "PGtGr-lambda^2-overflows": (
         "received_power",
         dict(power_w=1e12, freq_mhz=1e-150, range_m=200.0),

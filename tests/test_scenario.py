@@ -1,7 +1,9 @@
 """Unit tests for scenario file loading and validation."""
 
 import json
+import random
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -306,3 +308,114 @@ class TestParseErrors:
         path.write_text("[1, 2, 3]", encoding="utf-8")
         with pytest.raises(scen.ScenarioValidationError):
             scen.load_scenario(path)
+
+    def test_the_cap_is_4_mib(self):
+        assert scen.MAX_SCENARIO_BYTES == 4 * 1024 * 1024
+
+    def test_the_cap_counts_bytes_not_characters(self, tmp_path, monkeypatch):
+        # "é" is two bytes in UTF-8: the file over the cap holds fewer
+        # characters than the cap
+        text = json.dumps(dict(MINIMAL, output_dir="é" * 20), ensure_ascii=False)
+        size = len(text.encode("utf-8"))
+        monkeypatch.setattr(scen, "MAX_SCENARIO_BYTES", size)
+        at_cap, over_cap = tmp_path / "at.json", tmp_path / "over.json"
+        at_cap.write_text(text, encoding="utf-8")
+        over_cap.write_text(text.replace("é", "éé", 1), encoding="utf-8")
+        assert scen.load_scenario(at_cap).output_dir == "é" * 20
+        with pytest.raises(scen.ScenarioParseError) as excinfo:
+            scen.load_scenario(over_cap)
+        assert str(excinfo.value) == f"{over_cap}: larger than {size} bytes"
+
+    def test_bad_utf8_over_the_cap_reports_the_size(self, tmp_path, monkeypatch):
+        path = tmp_path / "over.json"
+        path.write_bytes(b'{"output_dir": "\xff' + b" " * 100 + b'"}')
+        monkeypatch.setattr(scen, "MAX_SCENARIO_BYTES", 64)
+        with pytest.raises(scen.ScenarioParseError) as excinfo:
+            scen.load_scenario(path)
+        assert str(excinfo.value) == f"{path}: larger than 64 bytes"
+
+    def test_bad_utf8_past_the_first_8_kib_names_its_file_offset(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"output_dir": "' + b"a" * 10_000 + b'\xff"}')
+        with pytest.raises(scen.ScenarioParseError) as excinfo:
+            scen.load_scenario(path)
+        assert str(excinfo.value) == f"{path}: byte 10016: not UTF-8 text"
+
+    @pytest.mark.parametrize("newline", [b"\r", b"\r\n", b"\n"], ids=["cr", "crlf", "lf"])
+    def test_every_newline_counts_one_line(self, tmp_path, newline):
+        path = tmp_path / "broken.json"
+        path.write_bytes(b'{@"transmitter": {@}@,}'.replace(b"@", newline))
+        with pytest.raises(scen.ScenarioParseError) as excinfo:
+            scen.load_scenario(path)
+        assert str(excinfo.value).startswith(f"{path}: line 4, column 2: ")
+
+    def test_a_fresh_process_words_json_errors_as_json_does(self):
+        # json is not imported until the first error, and the scanner of
+        # CPython 3.10 and 3.11 words its errors only once it is
+        texts = ['{"a" 1}', "", "\ufeff{}", "{} x", "[1, 2"]
+        script = (
+            "import sys\n"
+            "from balloonlink import scenario\n"
+            "assert 'json' not in sys.modules\n"
+            f"for text in {ascii(texts)}:\n"
+            "    try:\n"
+            "        scenario._loads(text)\n"
+            "    except ValueError as exc:\n"
+            "        print(f'{type(exc).__name__}: {exc}')\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        expected = []
+        for text in texts:
+            with pytest.raises(json.JSONDecodeError) as excinfo:
+                json.loads(text)
+            expected.append(f"JSONDecodeError: {excinfo.value}")
+        assert (result.returncode, result.stderr, result.stdout.splitlines()) == (0, "", expected)
+
+
+# Pieces a mutant of the bundled scenario is edited with: JSON's syntax,
+# its constants, escapes and text it must refuse or keep.
+_PIECES = (
+    *"{}[],:\"\\ \n\r\t0123456789-+.eEé",
+    "true", "false", "null", "NaN", "Infinity", "-Infinity", "\\u00e9", "\\ud800", "\\x",
+    "\ufeff", "\x00", "\x1f", "\ud800", '"a": ', "1e400", "-0", "0.5e-3", "01",
+)
+_FIXED_TEXTS = {
+    "empty": "",
+    "whitespace": " \t\n\r ",
+    "bom": "\ufeff{}",
+    "trailing-data": '{"a": 1} {"b": 2}',
+    "trailing-whitespace": ' {"a": 1}\r\n\t ',
+    "constants": "[NaN, Infinity, -Infinity, -0.0, 1e400]",
+    "deep": "[" * 100_000 + "]" * 100_000,
+    "5000-digits": "1" * 5000,
+    "lone-surrogate-escape": '"\\ud800"',
+}
+
+
+def _mutants(count: int, seed: int):
+    """count seeded texts, each the bundled scenario under one to three edits."""
+    rng = random.Random(seed)
+    base = scen.default_scenario_path().read_text(encoding="utf-8")
+    for _ in range(count):
+        text = base
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(text) + 1)
+            cut = rng.choice((0, 0, 1, rng.randint(1, 40), len(text)))
+            text = text[:at] + rng.choice(("", *_PIECES)) + text[at + cut :]
+        yield text
+
+
+def _outcome(loads, text: str):
+    """The repr of loads(text), or its error's type and fields."""
+    try:
+        return repr(loads(text))
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc), *(getattr(exc, key, None) for key in ("msg", "pos", "lineno", "colno"))
+
+
+def test_loads_agrees_with_json_loads():
+    texts = [*_FIXED_TEXTS.values(), *_mutants(3000, seed=2019)]
+    outcomes = [(_outcome(scen._loads, text), _outcome(json.loads, text)) for text in texts]
+    assert [index for index, (ours, theirs) in enumerate(outcomes) if ours != theirs] == []
+    # the mutants reach values and errors alike
+    assert 100 < sum(isinstance(ours, str) for ours, _ in outcomes) < len(texts) - 100
