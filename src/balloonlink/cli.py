@@ -253,8 +253,9 @@ PRODUCTS = {
     ),
     "exposure": Product(
         _exposure,
-        "sweep profiles fig4..fig8 (ground density at 150 m and 200 m, density vs "
-        "altitude, density vs distance, received power vs altitude), one CSV each",
+        f"sweep profiles fig4..fig8 (ground density at {FIG4_ALTITUDE_M:g} m and "
+        f"{FIG5_ALTITUDE_M:g} m, density vs altitude, density vs distance, received "
+        "power vs altitude), one CSV each",
         {
             "--figure": dict(
                 choices=FIGURE_IDS, help="which profile to write (default: all of them)"
@@ -385,7 +386,8 @@ def build_parser():
     class _Parser(argparse.ArgumentParser):
         # usage errors must exit 1, not argparse's default 2 (2 is for I/O here)
         def error(self, message):
-            self.print_usage(sys.stderr)
+            # print_usage(None) would fall back to stdout
+            self._print_message(self.format_usage(), sys.stderr)
             self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
         # argparse drops a failed write; raised, it reaches main's one I/O
@@ -451,6 +453,19 @@ def _parse_quick(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], **{flag[2:].replace("-", "_"): v for flag, v in values.items()})
 
 
+def _report(line: str) -> None:
+    """Write line to stderr, or nothing when there is no stderr or it fails.
+
+    A failed write is the last thing the run could tell, so it is dropped
+    and the exit code alone reports the error.
+    """
+    if sys.stderr is not None:  # None: descriptor 2 was closed at start
+        try:
+            sys.stderr.write(line + "\n")  # stderr is line-buffered
+        except OSError:
+            pass
+
+
 def main(argv: list[str]) -> int:
     """Run the CLI on argv (without the program name) and return its exit code.
 
@@ -467,11 +482,11 @@ def main(argv: list[str]) -> int:
             if sys.stdout is not None:
                 sys.stdout.flush()
     except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
+        _report(f"I/O error: {exc}")
         return EXIT_IO
     except (ValueError, ArithmeticError) as exc:
         # ArithmeticError is a safety net: every overflow the code knows of
         # is a ValueError naming its inputs, and a new one is still one line
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return EXIT_USAGE
     return EXIT_OK

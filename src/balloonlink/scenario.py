@@ -102,46 +102,39 @@ _scan = make_scanner(_Decoder)
 _WHITESPACE = " \t\n\r"
 
 
-def _decode_error(msg: str, text: str, pos: int) -> ValueError:
-    from json import JSONDecodeError
-
-    return JSONDecodeError(msg, text, pos)
-
-
 def _loads(text: str):
-    """json.loads(text): the C scanner json wraps, in JSONDecoder.decode's steps.
+    """json.loads(text), scanned by the C scanner json wraps.
 
-    Each error is json's own JSONDecodeError, RecursionError or ValueError;
-    the json package is imported only on the way to a JSONDecodeError.
+    A text that is one value between whitespace is scanned once and never
+    imports json; json.loads parses every other text, so each error is
+    json's own. RecursionError and the ValueError of an integer past the
+    digit limit come straight from the scanner, as from json.loads.
     """
-    if text.startswith("\ufeff"):
-        raise _decode_error("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     start = len(text) - len(text.lstrip(_WHITESPACE))
     try:
         value, end = _scan(text, start)
-    except StopIteration as stop:
-        raise _decode_error("Expecting value", text, stop.value) from None
-    except SystemError:
-        # Before CPython 3.12 the scanner finds JSONDecodeError only in an
-        # imported json.decoder, and fails without one: import it and scan
-        # again, which raises the error json.loads would.
-        import json.decoder  # noqa: F401
+    except (StopIteration, SystemError):
+        # StopIteration: no value where one must start, a leading BOM
+        # included. SystemError: before CPython 3.12 the scanner finds
+        # JSONDecodeError only in an imported json.decoder
+        pass
+    else:
+        if not text[end:].lstrip(_WHITESPACE):
+            return value
+    import json
 
-        value, end = _scan(text, start)
-    rest = text[end:].lstrip(_WHITESPACE)
-    if rest:
-        raise _decode_error("Extra data", text, len(text) - len(rest))
-    return value
+    return json.loads(text)
 
 
 def load_scenario(path: str | Path) -> Scenario:
     """Read, parse and validate a scenario file.
 
-    Raises OSError if the file cannot be read, ScenarioParseError for a
-    file larger than MAX_SCENARIO_BYTES, text that is not UTF-8,
-    malformed or too deeply nested JSON and an integer too long to parse,
-    and ScenarioValidationError (listing every violation) for constraint
-    failures.
+    The text is parsed as json.loads parses it (_loads). Raises OSError
+    if the file cannot be read, ScenarioParseError for a file larger than
+    MAX_SCENARIO_BYTES, text that is not UTF-8, malformed or too deeply
+    nested JSON and an integer too long to parse (each worded from
+    json's own error), and ScenarioValidationError (listing every
+    violation) for constraint failures.
     """
     with open(path, "rb") as source:
         data = source.read(MAX_SCENARIO_BYTES + 1)

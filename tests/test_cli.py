@@ -1107,6 +1107,43 @@ class TestClosedStdout:
             os.close(write_end)
 
 
+# an unreadable file, a field out of bounds and an unknown command
+_STDERR_CASES = {
+    "io-error": ["table1", "--scenario", "{tmp}/absent.json"],
+    "validation-error": ["table1", "--scenario", "{tmp}/bad.json"],
+    "usage-error": ["bogus"],
+}
+
+
+def _into_stderr(tmp_path, case: str, shell: str, **streams) -> subprocess.CompletedProcess:
+    """`python -m balloonlink` on one of _STDERR_CASES, run under `sh -c shell`."""
+    (tmp_path / "bad.json").write_text('{"transmitter": {"power_w": -1, "freq_mhz": 900}}')
+    argv = [arg.format(tmp=tmp_path) for arg in _STDERR_CASES[case]]
+    command = ["sh", "-c", shell, "sh", sys.executable, "-m", "balloonlink", *argv]
+    return subprocess.run(command, stdout=subprocess.PIPE, text=True, **streams)
+
+
+class TestDeadStderr:
+    @pytest.mark.parametrize("case, code", [("io-error", 2), ("validation-error", 1), ("usage-error", 2)])
+    def test_a_closed_pipe_keeps_the_code(self, tmp_path, case, code):
+        # the error line is lost; a usage error's line is argparse's own
+        # write, which fails into main's one I/O error
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = _into_stderr(tmp_path, case, 'exec "$@"', stderr=write_end)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stdout) == (code, "")
+
+    @pytest.mark.parametrize("case, code", [("io-error", 2), ("validation-error", 1), ("usage-error", 1)])
+    def test_stderr_closed_at_start_keeps_the_code_and_stdout_empty(self, tmp_path, case, code):
+        # descriptor 2 closed before Python starts leaves sys.stderr None;
+        # what was meant for it goes nowhere, not to stdout
+        result = _into_stderr(tmp_path, case, 'exec "$@" 2>&-')
+        assert (result.returncode, result.stdout) == (code, "")
+
+
 def _data_rows(path):
     rows = []
     for line in path.read_text().splitlines():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from balloonlink import coverage as cov
-from balloonlink.propagation import hata_path_loss
+from balloonlink.propagation import hata_path_loss, hata_slope_db_per_decade
 
 
 def _lens_area(radius, distance):
@@ -116,6 +116,21 @@ class TestCellRadiusFromBudget:
         # slope 44.9 - 6.55*log10(h_te) turns negative above ~7.16e6 m
         with pytest.raises(ValueError):
             cov.cell_radius_from_budget(900.0, 1e8, 1.5, 140.0)
+
+    def test_zero_slope_height_rejected(self):
+        # the slope is exactly 0.0 at some float next to 10**(44.9/6.55);
+        # search 64 either side, so another libm's log10 finds one too
+        height = 10.0 ** (44.9 / 6.55)
+        for _ in range(64):
+            height = math.nextafter(height, 0.0)
+        for _ in range(129):
+            if hata_slope_db_per_decade(height) == 0.0:
+                break
+            height = math.nextafter(height, math.inf)
+        else:
+            pytest.fail("no height with a slope of exactly 0.0 near 10**(44.9/6.55)")
+        with pytest.raises(ValueError, match="path loss is not increasing in distance"):
+            cov.cell_radius_from_budget(900.0, height, 1.5, 140.0)
 
     @pytest.mark.parametrize("freq_mhz, size", [(1e303, "small"), (2e-323, "large")])
     def test_budget_error_names_a_frequency_outside_hata_range(self, freq_mhz, size):

@@ -389,6 +389,8 @@ _FIXED_TEXTS = {
     "deep": "[" * 100_000 + "]" * 100_000,
     "5000-digits": "1" * 5000,
     "lone-surrogate-escape": '"\\ud800"',
+    "bom-after-whitespace": " \ufeff{}",
+    "error-inside-a-value": '{"a": [1, 2,]}',
 }
 
 
