@@ -16,8 +16,6 @@ from the flag tables; argparse is imported only to word help, the version
 and usage errors (``build_parser``).
 """
 
-from __future__ import annotations
-
 import errno
 import math
 import os

@@ -5,8 +5,6 @@ budget, lays platforms out on a hexagonal lattice and computes the exact
 union coverage area of the resulting cells.
 """
 
-from __future__ import annotations
-
 import math
 
 from .propagation import (

@@ -5,8 +5,6 @@ significant digits and files end every line with LF, so repeated runs of
 the same configuration produce byte-identical output.
 """
 
-from __future__ import annotations
-
 from pathlib import Path
 
 # The format spec of every float written: fmt's, and %-style in the column and row templates.

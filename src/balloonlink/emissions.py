@@ -6,8 +6,6 @@ values are engineering assumptions, not measured quantities; they are
 surfaced in output so nobody mistakes them for ground truth.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 

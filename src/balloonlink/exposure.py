@@ -7,8 +7,6 @@ evaluation at that abscissa, so series endpoints can be compared bit for
 bit against direct calls.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 import operator
@@ -120,7 +118,7 @@ class SweepSeries(Record):
         return tuple(zip(self.abscissas, self.values))
 
 
-@lru_cache(maxsize=3, typed=True)
+@lru_cache(maxsize=3)
 def _sample_axis(lo: float, hi: float, num_steps: int, axis: str = "x") -> tuple[float, ...]:
     """Uniform float samples on [lo, hi], 0 <= lo <= hi, with both endpoints exact.
 

@@ -7,8 +7,6 @@ MHz, distances in meters unless a name says otherwise. Every function is
 pure, so callers may evaluate concurrently without locking.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 import sys

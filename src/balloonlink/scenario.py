@@ -13,8 +13,6 @@ The parser, the validator and DEFAULTS_HELP (the CLI's help epilog) all
 read them.
 """
 
-from __future__ import annotations
-
 import io
 import math
 from _json import make_scanner

@@ -132,6 +132,13 @@ class TestCellRadiusFromBudget:
         with pytest.raises(ValueError, match="path loss is not increasing in distance"):
             cov.cell_radius_from_budget(900.0, height, 1.5, 140.0)
 
+    def test_small_positive_slope_inverts(self):
+        # a slope of 0.5 dB/decade is still invertible: the budget at 1 km gives 1 km
+        height = 10.0 ** (44.4 / 6.55)
+        assert hata_slope_db_per_decade(height) == pytest.approx(0.5, rel=1e-9)
+        budget = hata_path_loss(900.0, height, 1.5, 1.0)
+        assert cov.cell_radius_from_budget(900.0, height, 1.5, budget) == 1.0
+
     @pytest.mark.parametrize("freq_mhz, size", [(1e303, "small"), (2e-323, "large")])
     def test_budget_error_names_a_frequency_outside_hata_range(self, freq_mhz, size):
         problem = (
@@ -142,8 +149,10 @@ class TestCellRadiusFromBudget:
             cov.cell_radius_from_budget(freq_mhz, 200.0, 1.5, 140.0)
 
     def test_budget_error_names_no_frequency_inside_hata_range(self):
-        with pytest.raises(ValueError, match=r"^max_path_loss_db=-1e\+06 is too small: "):
-            cov.cell_radius_from_budget(900.0, 200.0, 1.5, -1e6)
+        # the band's ends are inside it
+        for freq_mhz in (900.0, 150.0, 1500.0):
+            with pytest.raises(ValueError, match=r"^max_path_loss_db=-1e\+06 is too small: "):
+                cov.cell_radius_from_budget(freq_mhz, 200.0, 1.5, -1e6)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -299,10 +308,11 @@ class TestUnionArea:
         assert result.stdout == "False\n"
 
     def test_cli_import_leaves_dataclasses_and_inspect_unloaded(self):
-        # -S keeps site hooks out, so only the package's own imports count
+        # -S keeps site hooks out, so only the package's own imports count;
+        # annotations are evaluated where written, so no module needs __future__
         code = (
             "import sys, balloonlink.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'typing'} & sys.modules.keys()))"
+            "print(sorted({'dataclasses', 'inspect', 'typing', '__future__'} & sys.modules.keys()))"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(cov.__file__).parents[1])}
         result = subprocess.run(

@@ -51,6 +51,24 @@ class TestDefaults:
         bundled = scen.default_scenario_path().read_text(encoding="utf-8")
         assert json.loads(block) == json.loads(bundled)
 
+    def test_defaults_help_is_pinned(self):
+        # the --help epilog, byte for byte: 12 lines, each under 80 columns
+        assert scen.DEFAULTS_HELP == (
+            "scenario defaults (overridable in the scenario file):\n"
+            "  transmitter: power_w (required), gain_db=17, freq_mhz (required),\n"
+            "    antenna_dim_m=1\n"
+            "  geometry: altitude_m=150, ground_offset_m=0, bs_antenna_height_m=200,\n"
+            "    rx_antenna_height_m=1.5, rx_gain_db=0\n"
+            "  thresholds: limit_w_m2=freq_mhz/200 (clamped to [2, 10] W/m^2),\n"
+            "    caution_fraction=0.1\n"
+            "  green (assumed values, not measurements): hours_per_year=8760,\n"
+            "    terrestrial=DIESEL, balloon=SOLAR, DIESEL 2 L/h at 2.68 kg CO2/L,\n"
+            "    SOLAR (zero emission), GRID 0 kWh/h at 0.82 kg CO2/kWh\n"
+            "  sweeps: ground_offset=0..25 m, altitude=200..400 m, range=10..500 m,\n"
+            "    steps=101 (2..100001), distances_m=[10, 100, 500]\n"
+        )
+        assert max(map(len, scen.DEFAULTS_HELP.splitlines())) < 80
+
     def test_threshold_limit_follows_frequency(self, write_scenario):
         payload = {"transmitter": {"power_w": 20.0, "freq_mhz": 1800.0}}
         loaded = scen.load_scenario(write_scenario(payload))
@@ -222,7 +240,7 @@ class TestValidation:
         # a list that is not all positive finite floats is checked value by value
         path = tmp_path / "scenario.json"
         payload = json.dumps(dict(MINIMAL, sweeps={"distances_m": ["@"]}))
-        literals = '1.5, 5, true, "5", -1.0, 0, NaN, 1e400, 2.5'
+        literals = '1.5, 5, true, "5", -1.0, 0, NaN, 1e400, 0.0, 2.5'
         path.write_text(payload.replace('"@"', literals), encoding="utf-8")
         with pytest.raises(scen.ScenarioValidationError) as excinfo:
             scen.load_scenario(path)
@@ -233,6 +251,7 @@ class TestValidation:
             "sweeps.distances_m[5] must be > 0",
             "sweeps.distances_m[6] must be finite",
             "sweeps.distances_m[7] must be finite",
+            "sweeps.distances_m[8] must be > 0",
         )
 
     def test_int_distances_load_as_floats(self, write_scenario):
