@@ -406,20 +406,16 @@ def build_parser():
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    for flag, keywords in _COMMON_FLAGS.items():
-        common.add_argument(flag, **keywords)
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     for name, product in PRODUCTS.items():
         sub = subparsers.add_parser(
             name,
-            parents=[common],
             help=product.help,
             description=product.help,
             epilog=DEFAULTS_HELP,
             formatter_class=_HelpFormatter,
         )
-        for flag, keywords in product.flags.items():
+        for flag, keywords in {**_COMMON_FLAGS, **product.flags}.items():
             sub.add_argument(flag, **keywords)
     return parser
 

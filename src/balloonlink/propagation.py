@@ -54,8 +54,15 @@ def _require(bounds, **values) -> None:
             raise ValueError(problem)
 
 
-def _float_range_error(quantity: str, inputs: dict) -> ValueError:
-    """The error for a quantity beyond float range, naming the inputs to blame."""
+def _float_range_error(quantity: str, inputs: dict, *factors: tuple[float, dict]) -> ValueError:
+    """The error for a quantity beyond float range, naming the inputs to blame.
+
+    factors are the quantity's factors as (product, {name: value}) pairs, in
+    the order it forms them: the inputs of the first one that overflowed are
+    to blame, else inputs. Only a failed call builds this error, so a call
+    that succeeds pays nothing for the diagnosis.
+    """
+    inputs = next((named for product, named in factors if product == math.inf), inputs)
     named = ", ".join(f"{name}={value:g}" for name, value in inputs.items())
     return ValueError(f"{quantity} at {named} is beyond float range")
 
@@ -82,10 +89,8 @@ def db_to_linear(value_db: float) -> float:
 def wavelength_m(freq_mhz: float) -> float:
     """Free-space wavelength in meters for a carrier given in MHz."""
     _require(POSITIVE, freq_mhz=freq_mhz)
-    wavelength = SPEED_OF_LIGHT_M_S / (freq_mhz * 1e6)
-    if 0.0 < wavelength < math.inf:  # 0 if the frequency in Hz overflowed, inf if it is tiny
-        return wavelength
-    raise _float_range_error("wavelength", {"freq_mhz": freq_mhz})
+    freq_hz = _finite("wavelength", freq_mhz * 1e6, freq_mhz=freq_mhz)
+    return _finite("wavelength", SPEED_OF_LIGHT_M_S / freq_hz, freq_mhz=freq_mhz)
 
 
 def near_field_distance(antenna_dim_m: float, freq_mhz: float) -> float:
@@ -195,7 +200,8 @@ def _check_field_inputs(power_w: float, gain_linear: float, range_m: float) -> N
 # aperture, even one that overflows. No kernel squares the range, so for a
 # positive finite range neither raises: a value too small for a float rounds
 # to 0 or a subnormal, and one too large is inf, which the public function
-# reports.
+# reports, naming the first numerator factor that overflowed or, if none
+# did, range_m (a finite numerator over a range too small for the law).
 _FOUR_PI = 4.0 * math.pi
 
 
@@ -211,30 +217,15 @@ def _received_power(
     return _power_density(power_w, tx_gain_linear, range_m) * (rx_gain_linear * lam * lam / _FOUR_PI)
 
 
-def _beyond_float_range(quantity: str, range_m: float, *factors: tuple[float, dict]) -> ValueError:
-    """The error for a field value beyond float range, naming the inputs to blame.
-
-    factors are the law's numerator factors as (product, {name: value})
-    pairs, in the order the law forms them. The inputs of the first one that
-    overflowed are to blame; if none did, range_m is (a finite numerator
-    over a range too small for the law). Only a failed call builds this
-    error, so a call that succeeds pays nothing for the diagnosis.
-    """
-    for product, inputs in factors:
-        if product == math.inf:
-            return _float_range_error(quantity, inputs)
-    return _float_range_error(quantity, {"range_m": range_m})
-
-
 def power_density(power_w: float, gain_linear: float, range_m: float) -> float:
     """Free-space power density P*G / (4*pi*R^2), in W/m^2."""
     _check_field_inputs(power_w, gain_linear, range_m)
     density = _power_density(power_w, gain_linear, range_m)
     if density < math.inf:  # also rejects NaN, an infinite P*G over an infinite 4*pi*R
         return density
-    raise _beyond_float_range(
+    raise _float_range_error(
         "power density",
-        range_m,
+        {"range_m": range_m},
         (power_w * gain_linear, {"power_w": power_w, "gain_linear": gain_linear}),
     )
 
@@ -245,9 +236,9 @@ def e_field_rms(power_w: float, gain_linear: float, range_m: float) -> float:
     field = math.sqrt(30.0 * power_w * gain_linear) / range_m
     if field < math.inf:
         return field
-    raise _beyond_float_range(
+    raise _float_range_error(
         "rms E-field",
-        range_m,
+        {"range_m": range_m},
         (30.0 * power_w * gain_linear, {"power_w": power_w, "gain_linear": gain_linear}),
     )
 
@@ -268,9 +259,9 @@ def received_power(
         return power
     gains = power_w * tx_gain_linear * rx_gain_linear
     inputs = {"power_w": power_w, "tx_gain_linear": tx_gain_linear, "rx_gain_linear": rx_gain_linear}
-    raise _beyond_float_range(
+    raise _float_range_error(
         "received power",
-        range_m,
+        {"range_m": range_m},
         (lam * lam, {"freq_mhz": freq_mhz}),
         (gains, inputs),
         # each factor finite, their product not

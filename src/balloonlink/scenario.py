@@ -253,9 +253,7 @@ DEFAULTS_HELP = _defaults_help()
 
 
 def _object(value, qualified: str, known, problems: list[str]) -> dict:
-    """value as a JSON object, {} when absent or not one; unknown keys are problems."""
-    if value is None:
-        return {}
+    """value as a JSON object, {} when not one; unknown keys are problems."""
     if not isinstance(value, dict):
         problems.append(f"{qualified} must be a JSON object")
         return {}
@@ -332,20 +330,20 @@ def scenario_from_dict(raw: dict) -> Scenario:
     values: dict[str, dict] = {}
     for name, rows in _FIELDS.items():
         known = {key for key, _, _ in rows} | (_GREEN_PROFILES.keys() if name == "green" else set())
-        sections[name] = _object(raw.get(name), name, known, problems)
+        sections[name] = _object(raw.get(name, {}), name, known, problems)
         if name == "thresholds":
             freq_mhz = values["transmitter"]["freq_mhz"]
             limit = None if freq_mhz is None else default_thresholds(freq_mhz).limit_w_m2
             rows = [(key, limit if d is _LIMIT_FROM_FREQ else d, b) for key, d, b in rows]
         values[name] = _numbers(sections[name], name, rows, problems)
     profiles = {
-        name: _profile(sections["green"].get(name), f"green.{name}", kind, problems)
+        name: _profile(sections["green"].get(name, {}), f"green.{name}", kind, problems)
         for name, kind in _GREEN_PROFILES.items()
     }
 
-    sweeps = _object(raw.get("sweeps"), "sweeps", {*_SWEEPS, "distances_m"}, problems)
+    sweeps = _object(raw.get("sweeps", {}), "sweeps", {*_SWEEPS, "distances_m"}, problems)
     ranges = {
-        name: _sweep_range(sweeps.get(name), f"sweeps.{name}", *row, problems)
+        name: _sweep_range(sweeps.get(name, {}), f"sweeps.{name}", *row, problems)
         for name, row in _SWEEPS.items()
     }
     distances = sweeps.get("distances_m", list(_DISTANCES_M))

@@ -524,7 +524,7 @@ class TestNearFieldProducts:
 # whole stderr line after its "error: "; where the run succeeds with an empty
 # stderr, None for a file product, or for linkbudget a row its stdout holds).
 VALID_TRANSMITTER = {"power_w": 20.0, "freq_mhz": 900.0}
-_F303 = {"transmitter": {"freq_mhz": 1e303}}  # the wavelength underflows to 0
+_F303 = {"transmitter": {"freq_mhz": 1e303}}  # the frequency in Hz overflows to inf
 _F323 = {"transmitter": {"freq_mhz": 2e-323}}  # the wavelength overflows to inf
 _HUGE_PG = {"transmitter": {"power_w": 1e308, "gain_linear": 1e10}}
 _TINY_F = {"transmitter": {"freq_mhz": 1e-300}}  # lambda^2 overflows; the range is fine
@@ -537,6 +537,15 @@ _E_SQUARED_OVERFLOWS = {
 }
 ONE_LINE_ERRORS = {
     "section-geometry": (("table1",), {"geometry": 3}, 1, "invalid scenario: geometry must be a JSON object"),
+    # a section left out takes its defaults; one given as null is refused like any non-object
+    "section-geometry-null": (
+        ("table1",), {"geometry": None}, 1, "invalid scenario: geometry must be a JSON object"),
+    "section-sweeps-null": (("table1",), {"sweeps": None}, 1, "invalid scenario: sweeps must be a JSON object"),
+    "section-sweep-null": (
+        ("table1",), {"sweeps": {"altitude": None}}, 1, "invalid scenario: sweeps.altitude must be a JSON object"),
+    "section-profile-null": (
+        ("green",), {"green": {"terrestrial": None}}, 1,
+        "invalid scenario: green.terrestrial must be a JSON object"),
     "section-solar-fuel": (
         ("table1",), {"green": {"balloon": {"source_kind": "SOLAR", "fuel_liters_per_hour": 1.0}}}, 1,
         "invalid scenario: green.balloon: a SOLAR profile must have fuel_liters_per_hour at 0"),
@@ -823,6 +832,14 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "2.68 kg CO2/L" in out
         assert "8760" in out
+
+    @pytest.mark.parametrize("command", cli.PRODUCTS)
+    def test_usage_lists_common_flags_then_the_product_flags(self, run_cli, capsys, command):
+        with pytest.raises(SystemExit):
+            run_cli(command, "--help")
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        flags = ["-h", "--scenario", "--out", *cli.PRODUCTS[command].flags]
+        assert re.findall(r"\[(--?[\w-]+)", usage) == flags
 
     def test_help_lists_every_table_default(self, run_cli, capsys):
         with pytest.raises(SystemExit):

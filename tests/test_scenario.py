@@ -156,6 +156,15 @@ class TestValidation:
         assert "transmitter.power_w is required" in message
         assert "transmitter.freq_mhz is required" in message
 
+    def test_null_section_is_refused_not_defaulted(self):
+        with pytest.raises(scen.ScenarioValidationError) as excinfo:
+            scen.scenario_from_dict({"transmitter": None})
+        assert excinfo.value.problems == (
+            "transmitter must be a JSON object",
+            "transmitter.power_w is required",
+            "transmitter.freq_mhz is required",
+        )
+
     def test_all_violations_reported_at_once(self, write_scenario):
         payload = {
             "transmitter": {"power_w": -5.0, "freq_mhz": 0.0},
