@@ -120,17 +120,14 @@ class SweepSeries(Record):
 
 @lru_cache(maxsize=3)
 def _sample_axis(lo: float, hi: float, num_steps: int, axis: str = "x") -> tuple[float, ...]:
-    """Uniform float samples on [lo, hi], 0 <= lo <= hi, with both endpoints exact.
+    """Uniform float samples on [lo, hi], 0 <= lo < hi, with both endpoints exact.
 
-    num_steps is an integral count within SWEEP_STEPS; the axis of hi == lo
-    is the one sample lo at any count. Raises ValueError naming the axis
-    when the samples are not strictly ascending, that is when the step is
-    below float resolution at hi. The last three axes are kept, so profiles
-    over one axis share its samples.
+    num_steps is an integral count within SWEEP_STEPS. Raises ValueError
+    naming the axis when the samples are not strictly ascending, that is
+    when the step is below float resolution at hi. The last three axes are
+    kept, so profiles over one axis share its samples.
     """
     _require(SWEEP_STEPS, num_steps=num_steps)
-    if hi == lo:
-        return (float(lo),)
     num_steps = int(num_steps)
     step = (hi - lo) / (num_steps - 1)
     xs = [lo + i * step for i in range(num_steps)]
@@ -191,8 +188,7 @@ def ground_density_profile(
     density at the slant range sqrt(altitude^2 + d^2). The maximum is
     always at d = 0, directly beneath the platform.
     """
-    _require(POSITIVE, altitude_m=altitude_m)
-    _require(NON_NEGATIVE, offset_max_m=offset_max_m)
+    _require(POSITIVE, altitude_m=altitude_m, offset_max_m=offset_max_m)
     offsets = _sample_axis(0.0, offset_max_m, num_steps, "ground_offset_m")
     power, gain = tx.power_w, tx.linear_gain()
     return _sweep(

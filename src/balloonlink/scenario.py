@@ -331,11 +331,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
     for name, rows in _FIELDS.items():
         known = {key for key, _, _ in rows} | (_GREEN_PROFILES.keys() if name == "green" else set())
         sections[name] = _object(raw.get(name, {}), name, known, problems)
-        if name == "thresholds":
-            freq_mhz = values["transmitter"]["freq_mhz"]
-            limit = None if freq_mhz is None else default_thresholds(freq_mhz).limit_w_m2
-            rows = [(key, limit if d is _LIMIT_FROM_FREQ else d, b) for key, d, b in rows]
         values[name] = _numbers(sections[name], name, rows, problems)
+    freq_mhz = values["transmitter"]["freq_mhz"]
+    if values["thresholds"]["limit_w_m2"] is _LIMIT_FROM_FREQ and freq_mhz is not None:
+        values["thresholds"]["limit_w_m2"] = default_thresholds(freq_mhz).limit_w_m2
     profiles = {
         name: _profile(sections["green"].get(name, {}), f"green.{name}", kind, problems)
         for name, kind in _GREEN_PROFILES.items()

@@ -68,9 +68,9 @@ class TestGroundDensityProfile:
         with pytest.raises(ValueError):
             exp.ground_density_profile(TX, 0.0, 25.0)
 
-    def test_zero_offset_window_collapses_to_single_point(self):
-        series = exp.ground_density_profile(TX, 150.0, 0.0)
-        assert len(series.points) == 1
+    def test_zero_offset_window_rejected(self):
+        with pytest.raises(ValueError, match="^offset_max_m must be > 0$"):
+            exp.ground_density_profile(TX, 150.0, 0.0)
 
     def test_step_count(self):
         series = exp.ground_density_profile(TX, 150.0, 25.0, num_steps=11)
@@ -154,7 +154,7 @@ class TestSweepArguments:
             (exp.altitude_density_profile, (200.0, 400.0, 0.0, 1), "num_steps must be an integer >= 2"),
             (exp.range_density_profile, (10.0, 500.0, -3), "num_steps must be an integer >= 2"),
             (_received_power_profile, (200.0, 400.0, 0.0, 1), "num_steps must be an integer >= 2"),
-            (exp.ground_density_profile, (150.0, -1.0), "offset_max_m must be >= 0"),
+            (exp.ground_density_profile, (150.0, -1.0), "offset_max_m must be > 0"),
             (exp.altitude_density_profile, (200.0, 400.0, -1.0), "ground_offset_m must be >= 0"),
             (_received_power_profile, (200.0, 400.0, -1.0), "ground_offset_m must be >= 0"),
             # the geometry is checked before the axis
@@ -258,8 +258,6 @@ class TestSweepSeriesInvariants:
         samples = exp._sample_axis(1, 2, 3)
         assert samples == (1.0, 1.5, 2.0)
         assert all(type(x) is float for x in samples)
-        one = exp._sample_axis(0, 0, 3)
-        assert one == (0.0,) and type(one[0]) is float
 
 
 class TestZones:

@@ -200,8 +200,9 @@ DIESEL = em.diesel_profile()
         (lambda: exp.classify_zone(-0.1, THRESHOLDS), "density_w_m2 must be >= 0"),
         (lambda: exp.ground_density_profile(TX, 0.0, 25.0), "altitude_m must be > 0"),
         (lambda: exp.ground_density_profile(TX, 150.0, math.inf), "offset_max_m must be finite"),
-        (lambda: exp.ground_density_profile(TX, 150.0, 0.0, 2.5), "num_steps must be an integer >= 2"),
-        (lambda: exp.ground_density_profile(TX, 150.0, 0.0, 10**9), "num_steps must be an integer <= 100001"),
+        (lambda: exp.ground_density_profile(TX, 150.0, 0.0), "offset_max_m must be > 0"),
+        (lambda: exp.ground_density_profile(TX, 150.0, 25.0, 2.5), "num_steps must be an integer >= 2"),
+        (lambda: exp.ground_density_profile(TX, 150.0, 25.0, 10**9), "num_steps must be an integer <= 100001"),
         (lambda: exp.altitude_density_profile(TX, 0.0, 400.0), "altitude_min_m must be > 0"),
         (lambda: exp.altitude_density_profile(TX, 400.0, 200.0), "altitude_max_m must be > altitude_min_m"),
         (lambda: exp.range_density_profile(TX, 10.0, math.inf), "range_max_m must be finite"),
@@ -236,8 +237,9 @@ DIESEL = em.diesel_profile()
         "classify-negative",
         "ground-altitude",
         "ground-offset-max",
-        "ground-point-steps-fractional",
-        "ground-point-steps-cap",
+        "ground-zero-window",
+        "ground-steps-fractional",
+        "ground-steps-cap",
         "altitude-min",
         "altitude-max-below-min",
         "range-max",
