@@ -2,10 +2,11 @@
 
 Each subcommand loads a scenario (the bundled default unless --scenario
 is given), renders one product and writes it as CSV into the output
-directory. Every subcommand is one row of PRODUCTS; ``_run`` renders all
-of a product's files before it writes any, replaces them as one set and
-only then reports them. Exit codes: 0 success, 1 validation or usage
-error, 2 I/O error.
+directory. Every subcommand is one row of PRODUCTS, whose renderer yields
+each output's lines; ``render`` builds every output's text from them,
+touching no file or stream, and ``_run`` then replaces the files as one
+set and only then reports them. Exit codes: 0 success, 1 validation or
+usage error, 2 I/O error.
 
 ``main(argv)`` touches no process state: it reads only the argv it is
 given and no file descriptor, so it runs in-process as well as in its
@@ -27,7 +28,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .coverage import MAX_BALLOONS, cell_radius_from_budget, constellation_layout, union_area_km2
-from .csvout import float_column, fmt, render, row_template, write_csv
+from .csvout import float_column, fmt, row_template, write_csv
 from .emissions import compare
 from .exposure import (
     altitude_density_profile,
@@ -146,9 +147,9 @@ def _near_field_warnings(s: Scenario, range_m: float) -> list[str]:
 
 
 def _table1(s: Scenario, args: SimpleNamespace):
-    rows = table_one(s.transmitter, s.table_distances_m)
     lines = ["distance_m,power_density_w_m2"]
-    lines.extend(f"{fmt(r)},{fmt(density)}" for r, density in rows)
+    # the rows go straight into lines, so no local holds them while render joins
+    lines.extend(f"{fmt(r)},{fmt(density)}" for r, density in table_one(s.transmitter, s.table_distances_m))
     yield "table1.csv", lines, min(s.table_distances_m)
 
 
@@ -238,8 +239,9 @@ def _linkbudget(s: Scenario, args: SimpleNamespace):
 class Product(Record):
     """One subcommand: renderer, help text and its own flags."""
 
-    # yields (file name, or None for stdout; lines without the scenario notes;
-    # the shortest range the lines evaluate, inf where they evaluate none)
+    # yields (file name, or None for stdout; its lines, which render joins
+    # after the scenario notes and near-field warning; the shortest range
+    # the lines evaluate, inf where they evaluate none)
     renderer: Callable
     help: str
     flags: dict
@@ -314,8 +316,8 @@ _COMMON_FLAGS = {
 }
 
 
-def _replace_all(out: Path, files: list[tuple[str, list[str]]]) -> None:
-    """Replace the named files in the directory out as one set, or none of them.
+def _replace_all(out: Path, files: dict[str, str]) -> None:
+    """Replace the files in the directory out, {name: text}, as one set, or none of them.
 
     out is created with its missing parents; an out that is not a directory
     fails the call before anything is staged. Each file is written once,
@@ -333,13 +335,13 @@ def _replace_all(out: Path, files: list[tuple[str, list[str]]]) -> None:
             created.append(directory)
         if not out.is_dir():
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out))
-        for name, lines in files:
+        for name, text in files.items():
             stage = out / f".{name}.{os.getpid()}.staged"
             # listed only once written: the create is exclusive, so a file
             # already at stage is refused and must be kept
-            write_csv(stage, lines)
+            write_csv(stage, text)
             staged.append(stage)
-        targets = [out / name for name, _ in files]
+        targets = [out / name for name in files]
         for target in targets:
             if target.is_dir():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
@@ -353,28 +355,35 @@ def _replace_all(out: Path, files: list[tuple[str, list[str]]]) -> None:
         raise
 
 
+def render(scenario: Scenario, args: SimpleNamespace) -> dict[str | None, str]:
+    """The full text of each output of the product, by file name (None for stdout).
+
+    A text is the scenario notes, the near-field warning for the shortest
+    range the output evaluates, then the product's lines, each ending in
+    LF. It touches no file and no stream.
+    """
+    notes = _warnings(scenario.notes)
+    return {
+        name: "\n".join([*notes, *_near_field_warnings(scenario, range_m), *lines, ""])
+        for name, lines, range_m in PRODUCTS[args.command].renderer(scenario, args)
+    }
+
+
 def _run(scenario: Scenario, args: SimpleNamespace) -> None:
-    """Render every file of the product, replace them as one set, then report them.
+    """Render every output of the product, replace its files as one set, then report them.
 
     A failed render writes nothing, a failed write leaves the old files as
     they were, and a failed report (a closed stdout) comes after every file
     is in place, so the files are all of one run.
     """
-    notes = _warnings(scenario.notes)
-    files = [
-        (name, notes + _near_field_warnings(scenario, range_m) + lines)
-        for name, lines, range_m in PRODUCTS[args.command].renderer(scenario, args)
-    ]
-    if any(name is not None for name, _ in files):
+    files = render(scenario, args)
+    stdout = files.pop(None, "")
+    if files:
         out = args.out if args.out is not None else Path(scenario.output_dir)
-        _replace_all(out, [(name, lines) for name, lines in files if name is not None])
+        _replace_all(out, files)
     if sys.stdout is None:  # descriptor 1 was closed when the process started
         raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
-    for name, lines in files:
-        if name is None:
-            sys.stdout.write(render(lines))
-        else:
-            print(f"wrote {out / name}")
+    sys.stdout.write(stdout + "".join(f"wrote {out / name}\n" for name in files))
 
 
 def build_parser():

@@ -30,19 +30,15 @@ def row_template(abscissa_column: str, unit: str) -> str:
 
     ``row_template(float_column(xs), unit) % values`` gives the rows
     ``f"{fmt(x)},{fmt(v)},{unit}"``, joined by LF with no trailing LF, since
-    render joins the lines with LF. The column is at least one line, as
+    ``cli.render`` joins the lines with LF. The column is at least one line, as
     every SweepSeries has a point, and unit holds no "%".
     """
     row_end = f",%{_FLOAT_SPEC},{unit}"
     return abscissa_column.replace("\n", row_end + "\n") + row_end
 
 
-def render(lines: list[str]) -> str:
-    return "\n".join(lines) + "\n"
-
-
-def write_csv(path: Path, lines: list[str]) -> None:
-    """Create path and write the rendered lines to it.
+def write_csv(path: Path, text: str) -> None:
+    """Create path and write text to it.
 
     The create is exclusive: a file or symlink already at path is refused
     (FileExistsError) and left as it was. A write that fails removes path.
@@ -50,7 +46,7 @@ def write_csv(path: Path, lines: list[str]) -> None:
     file = open(path, "x", encoding="utf-8", newline="\n")
     try:
         with file:
-            file.write(render(lines))
+            file.write(text)
     except BaseException:
         path.unlink(missing_ok=True)
         raise

@@ -32,9 +32,10 @@ from .propagation import (
 DEFAULT_NUM_STEPS = 101
 
 # Bounds on a sweep's step count, for the scenario's sweeps and the library's
-# alike. The cap bounds the memory of one sweep: exposure with all three
-# sweeps at 100001 steps runs in 0.43-0.73 s at 55 MiB peak RSS (12 runs,
-# Python 3.11.7, shared 2-vCPU host), and CI fails such a run above 96 MiB.
+# alike; the upper one also caps the number of table_one's distances. The cap
+# bounds the memory of one sweep: exposure with all three sweeps at 100001
+# steps runs in 0.43-0.73 s at 55 MiB peak RSS (12 runs, Python 3.11.7,
+# shared 2-vCPU host), and CI fails such a run above 96 MiB.
 SWEEP_STEPS = ((">=", 2), ("<=", 100_001))
 
 # Default general-public power-density limit: f/200 W/m^2 for f in MHz,
@@ -169,9 +170,10 @@ def _axis(axis: str, lo: float, hi: float, num_steps: int) -> tuple[float, ...]:
 def table_one(
     tx: TransmitterConfig, distances_m: Sequence[float]
 ) -> tuple[tuple[float, float], ...]:
-    """Power density at each listed distance, as (R, P_d) rows."""
+    """Power density at each listed distance, as (R, P_d) rows; at most SWEEP_STEPS' cap of them."""
     if not distances_m:
         raise ValueError("distances_m must not be empty")
+    _require(SWEEP_STEPS[-1:], **{"len(distances_m)": len(distances_m)})
     gain = tx.linear_gain()
     return tuple((r, power_density(tx.power_w, gain, r)) for r in distances_m)
 

@@ -351,6 +351,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
         distances = []
     elif not distances:
         problems.append("sweeps.distances_m must not be empty")
+    elif len(distances) > SWEEP_STEPS[-1][1]:  # the sweeps' count cap; no element is checked
+        problems.append(f"sweeps.distances_m must hold at most {SWEEP_STEPS[-1][1]} values")
+        distances = []
     # a positive finite float already passes _number as itself
     table_distances = tuple(
         value

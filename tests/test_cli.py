@@ -151,7 +151,7 @@ class TestReplaceAll:
             (tmp_path / name).write_bytes(content)
         with pytest.raises(UnicodeEncodeError):
             # a lone surrogate cannot be encoded
-            cli._replace_all(tmp_path, [("a.csv", ["new,a"]), ("b.csv", ["x", "\ud800"])])
+            cli._replace_all(tmp_path, {"a.csv": "new,a\n", "b.csv": "x\n\ud800\n"})
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
 
     def test_failed_write_removes_the_directories_it_created(self, run_cli, tmp_path, capsys, monkeypatch):
@@ -207,6 +207,30 @@ class TestReplaceAll:
         assert capsys.readouterr().err == f"I/O error: [Errno 20] Not a directory: '{out}'\n"
         assert out.read_bytes() == b"kept\n"
         assert sorted(tmp_path.iterdir()) == sorted([out, scenario])
+
+
+class TestRender:
+    @pytest.mark.parametrize("command", cli.PRODUCTS)
+    def test_render_touches_no_file_or_stream_and_is_what_main_writes(
+        self, run_cli, tmp_path, capsys, monkeypatch, command
+    ):
+        class FailingStream:
+            def write(self, text):
+                raise OSError(errno.EIO, "render wrote to stdout")
+
+        out = tmp_path / "out"
+        argv = [command, "--out", str(out)]
+        scenario = scen.load_scenario(scen.default_scenario_path())
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", FailingStream())
+            texts = cli.render(scenario, cli.build_parser().parse_args(argv))
+        assert not out.exists()
+
+        assert run_cli(*argv) == 0
+        stdout = texts.pop(None, "")
+        assert capsys.readouterr().out == stdout + "".join(f"wrote {out / name}\n" for name in texts)
+        written = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+        assert written == {name: text.encode() for name, text in texts.items()}
 
 
 class TestCoverage:
@@ -546,6 +570,10 @@ ONE_LINE_ERRORS = {
     "section-profile-null": (
         ("green",), {"green": {"terrestrial": None}}, 1,
         "invalid scenario: green.terrestrial must be a JSON object"),
+    # a list longer than the sweeps' step cap is one problem: none of its values is checked
+    "distances-over-cap": (
+        ("table1",), {"sweeps": {"distances_m": [-1.0] * 100_002}}, 1,
+        "invalid scenario: sweeps.distances_m must hold at most 100001 values"),
     "section-solar-fuel": (
         ("table1",), {"green": {"balloon": {"source_kind": "SOLAR", "fuel_liters_per_hour": 1.0}}}, 1,
         "invalid scenario: green.balloon: a SOLAR profile must have fuel_liters_per_hour at 0"),

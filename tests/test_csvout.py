@@ -30,7 +30,7 @@ def test_row_template_filled_is_fmt_row_for_row(pairs):
 
 def test_write_creates_the_file_with_lf_lines(tmp_path):
     path = tmp_path / "out.csv"
-    write_csv(path, ["a,b", "1,2"])
+    write_csv(path, "a,b\n1,2\n")
     assert path.read_bytes() == b"a,b\n1,2\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
@@ -45,7 +45,7 @@ def test_existing_path_is_refused_and_kept(tmp_path, link):
     else:
         path.write_bytes(b"old,bytes\n")
     with pytest.raises(FileExistsError):
-        write_csv(path, ["a,b"])
+        write_csv(path, "a,b\n")
     assert path.is_symlink() == link
     assert path.read_bytes() == target.read_bytes() == b"old,bytes\n"
 
@@ -53,5 +53,5 @@ def test_existing_path_is_refused_and_kept(tmp_path, link):
 def test_failed_write_leaves_no_file(tmp_path):
     path = tmp_path / "out.csv"
     with pytest.raises(UnicodeEncodeError):
-        write_csv(path, ["x", "\ud800"])  # a lone surrogate cannot be encoded
+        write_csv(path, "x\n\ud800\n")  # a lone surrogate cannot be encoded
     assert list(tmp_path.iterdir()) == []

@@ -280,6 +280,10 @@ class TestValidation:
             scen.load_scenario(write_scenario(payload))
         assert excinfo.value.problems == ("sweeps.range.steps must be an integer <= 100001",)
 
+    def test_distances_at_the_cap_load(self, write_scenario):
+        payload = dict(MINIMAL, sweeps={"distances_m": [1.0] * 100_001})
+        assert len(scen.load_scenario(write_scenario(payload)).table_distances_m) == 100_001
+
     def test_empty_distances_rejected(self, write_scenario):
         payload = dict(MINIMAL)
         payload["sweeps"] = {"distances_m": []}
