@@ -22,8 +22,6 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from itertools import takewhile
-from pathlib import Path
 from types import SimpleNamespace
 
 from . import __version__
@@ -69,11 +67,24 @@ def _comma_floats(text: str) -> list[float]:
     return values
 
 
-def _path(text: str) -> Path:
-    # Path("") is ".", a directory the user never named
+def _spelled(*parts: str) -> str:
+    """The path of parts joined, spelled as a POSIX path object prints it.
+
+    The root is kept ("//" too) and so is every "..", but no empty or "."
+    part; a path with no part left is ".". No part is resolved, since
+    "a/.." names another directory than "." when a is a symlink.
+    """
+    path = os.path.join(*parts)
+    slashes = len(path) - len(path.lstrip("/"))
+    root = "//" if slashes == 2 else "/" * (slashes > 0)
+    return root + "/".join(part for part in path.split("/") if part not in ("", ".")) or "."
+
+
+def _path(text: str) -> str:
+    # "" would be spelled ".", a directory the user never named
     if not text:
         raise _type_error("expected a non-empty path")
-    return Path(text)
+    return _spelled(text)
 
 
 # The figure builders and renderers name the layer functions in their
@@ -316,7 +327,23 @@ _COMMON_FLAGS = {
 }
 
 
-def _replace_all(out: Path, files: dict[str, str]) -> None:
+def _exists(path: str) -> bool:
+    """Whether anything is at path, symlinks followed.
+
+    Only ENOENT, ENOTDIR, EBADF and ELOOP read as nothing there. Any other
+    stat error, such as a name too long or a directory that cannot be
+    searched, is raised and names path itself.
+    """
+    try:
+        os.stat(path)
+    except OSError as exc:
+        if exc.errno in (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP):
+            return False
+        raise
+    return True
+
+
+def _replace_all(out: str, files: dict[str, str]) -> list[str]:
     """Replace the files in the directory out, {name: text}, as one set, or none of them.
 
     out is created with its missing parents; an out that is not a directory
@@ -325,34 +352,48 @@ def _replace_all(out: Path, files: dict[str, str]) -> None:
     when every write has succeeded and no target is a directory (which a
     rename cannot replace) is each staged file renamed, once, onto its
     target. A failure before that removes every staged file written and
-    every directory created, so the old set stays as it was.
+    every directory created, so the old set stays as it was. Returns the
+    targets' paths. Every path, in the result and in an error, is spelled
+    as _spelled spells it.
     """
-    missing = list(takewhile(lambda directory: not directory.exists(), (out, *out.parents)))
+    out = _spelled(out)
+    missing = []  # out, then each parent up to "." or the root, while nothing is there
+    directory = out
+    while not _exists(directory):
+        missing.append(directory)
+        parent = os.path.dirname(directory) or "."
+        if parent == directory:
+            break
+        directory = parent
     created, staged = [], []
     try:
         for directory in reversed(missing):
-            directory.mkdir()
+            os.mkdir(directory)
             created.append(directory)
-        if not out.is_dir():
-            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out))
+        if not os.path.isdir(out):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), out)
         for name, text in files.items():
-            stage = out / f".{name}.{os.getpid()}.staged"
+            stage = _spelled(out, f".{name}.{os.getpid()}.staged")
             # listed only once written: the create is exclusive, so a file
             # already at stage is refused and must be kept
             write_csv(stage, text)
             staged.append(stage)
-        targets = [out / name for name in files]
+        targets = [_spelled(out, name) for name in files]
         for target in targets:
-            if target.is_dir():
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+            if os.path.isdir(target):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
         for stage, target in zip(staged, targets):
             os.replace(stage, target)
     except BaseException:
         for stage in staged:
-            stage.unlink(missing_ok=True)
+            try:
+                os.unlink(stage)
+            except FileNotFoundError:
+                pass
         for directory in reversed(created):
-            directory.rmdir()
+            os.rmdir(directory)
         raise
+    return targets
 
 
 def render(scenario: Scenario, args: SimpleNamespace) -> dict[str | None, str]:
@@ -378,12 +419,10 @@ def _run(scenario: Scenario, args: SimpleNamespace) -> None:
     """
     files = render(scenario, args)
     stdout = files.pop(None, "")
-    if files:
-        out = args.out if args.out is not None else Path(scenario.output_dir)
-        _replace_all(out, files)
+    targets = _replace_all(args.out or scenario.output_dir, files) if files else []
     if sys.stdout is None:  # descriptor 1 was closed when the process started
         raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
-    sys.stdout.write(stdout + "".join(f"wrote {out / name}\n" for name in files))
+    sys.stdout.write(stdout + "".join(f"wrote {target}\n" for target in targets))
 
 
 def build_parser():

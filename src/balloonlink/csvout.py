@@ -5,7 +5,7 @@ significant digits and files end every line with LF, so repeated runs of
 the same configuration produce byte-identical output.
 """
 
-from pathlib import Path
+import os
 
 # The format spec of every float written: fmt's, and %-style in the column and row templates.
 _FLOAT_SPEC = ".5e"
@@ -37,7 +37,7 @@ def row_template(abscissa_column: str, unit: str) -> str:
     return abscissa_column.replace("\n", row_end + "\n") + row_end
 
 
-def write_csv(path: Path, text: str) -> None:
+def write_csv(path: str | os.PathLike, text: str) -> None:
     """Create path and write text to it.
 
     The create is exclusive: a file or symlink already at path is refused
@@ -48,5 +48,8 @@ def write_csv(path: Path, text: str) -> None:
         with file:
             file.write(text)
     except BaseException:
-        path.unlink(missing_ok=True)
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
         raise

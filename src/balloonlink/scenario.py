@@ -15,8 +15,8 @@ read them.
 
 import io
 import math
+import os
 from _json import make_scanner
-from pathlib import Path
 
 from .emissions import (
     HOURS_PER_YEAR,
@@ -75,9 +75,9 @@ class Scenario(Record):
     _bounds = {"hours_per_year": POSITIVE}
 
 
-def default_scenario_path() -> Path:
+def default_scenario_path() -> str:
     """Path of the bundled default scenario (20 W at linear gain 50, 900 MHz)."""
-    return Path(__file__).with_name("data") / "default_scenario.json"
+    return os.path.join(os.path.dirname(__file__), "data", "default_scenario.json")
 
 
 # The largest scenario file read, in bytes, about 28 times the largest
@@ -124,7 +124,7 @@ def _loads(text: str):
     return json.loads(text)
 
 
-def load_scenario(path: str | Path) -> Scenario:
+def load_scenario(path: str | os.PathLike) -> Scenario:
     """Read, parse and validate a scenario file.
 
     The text is parsed as json.loads parses it (_loads). Raises OSError
@@ -213,6 +213,8 @@ _SWEEPS = {
 }
 _STEPS = ("steps", SweepRange.steps, SWEEP_STEPS)
 _DISTANCES_M = (10.0, 100.0, 500.0)
+# bad distances named one by one; the rest are counted, so the error stays one short line
+_NAMED_BAD_DISTANCES = 10
 
 
 def _defaults_help() -> str:
@@ -354,13 +356,17 @@ def scenario_from_dict(raw: dict) -> Scenario:
     elif len(distances) > SWEEP_STEPS[-1][1]:  # the sweeps' count cap; no element is checked
         problems.append(f"sweeps.distances_m must hold at most {SWEEP_STEPS[-1][1]} values")
         distances = []
+    bad = []  # _number's one problem per bad distance
     # a positive finite float already passes _number as itself
     table_distances = tuple(
         value
         if type(value) is float and 0.0 < value < math.inf
-        else _number(value, f"sweeps.distances_m[{i}]", None, POSITIVE, problems)
+        else _number(value, f"sweeps.distances_m[{i}]", None, POSITIVE, bad)
         for i, value in enumerate(distances)
     )
+    problems += bad[:_NAMED_BAD_DISTANCES]
+    if len(bad) > _NAMED_BAD_DISTANCES:
+        problems.append(f"sweeps.distances_m has {len(bad) - _NAMED_BAD_DISTANCES} more bad values")
 
     output_dir = raw.get("output_dir", ".")
     if not isinstance(output_dir, str) or not output_dir:

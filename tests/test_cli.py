@@ -3,13 +3,14 @@
 import errno
 import gc
 import hashlib
+import itertools
 import math
 import os
 import re
 import stat
 import subprocess
 import sys
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
 
@@ -113,7 +114,7 @@ class TestExposure:
             if len(calls) == 3:
                 raise OSError(errno.ENOSPC, "No space left on device")
             write_csv(path, lines)
-            assert path.is_file()
+            assert Path(path).is_file()
 
         monkeypatch.setattr(cli, "write_csv", full_disk_on_third)
         # another transmitter power, so a replaced file would differ in bytes
@@ -154,15 +155,55 @@ class TestReplaceAll:
             cli._replace_all(tmp_path, {"a.csv": "new,a\n", "b.csv": "x\n\ud800\n"})
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
 
-    def test_failed_write_removes_the_directories_it_created(self, run_cli, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("spelling", ["D/new/sub", "D/new/./sub/", "D//new/sub"])
+    def test_failed_write_removes_the_directories_it_created(
+        self, run_cli, tmp_path, capsys, monkeypatch, spelling
+    ):
         def full_disk(path, lines):
             raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(cli, "write_csv", full_disk)
         (tmp_path / "D").mkdir()
-        assert run_cli("table1", "--out", str(tmp_path / "D" / "new" / "sub")) == 2
+        assert run_cli("table1", "--out", f"{tmp_path}/{spelling}") == 2
         assert capsys.readouterr().err == "I/O error: [Errno 28] No space left on device\n"
         assert list((tmp_path / "D").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "out",
+        [".", "./x", "x/", "x//y", "x/./y", "x/.", "a/../b", pytest.param("{tmp}//abs/./", id="absolute"),
+         pytest.param(None, id="output_dir")],
+    )
+    def test_out_is_reported_and_written_as_a_posix_path_joins_it(
+        self, run_cli, write_scenario, tmp_path, capsys, monkeypatch, out
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a").mkdir()
+        if out is None:  # the scenario's output_dir
+            out = "."
+            argv = ["--scenario", str(write_scenario({"transmitter": VALID_TRANSMITTER, "output_dir": out}))]
+        else:
+            out = out.format(tmp=tmp_path)
+            argv = ["--out", out]
+        assert run_cli("table1", *argv) == 0
+        target = str(Path(out) / "table1.csv")
+        assert capsys.readouterr().out == f"wrote {target}\n"
+        assert [p.resolve() for p in tmp_path.rglob("table1.csv")] == [Path(target).resolve()]
+
+    def test_a_path_is_spelled_as_a_posix_path_object_prints_it(self):
+        # every spelling of up to four parts, "//" and "///" roots included
+        for parts in itertools.product(["", ".", "..", "a", "/", "//", "///"], repeat=4):
+            path = "".join(parts)
+            assert cli._spelled(path) == str(PurePosixPath(path)), path
+            assert cli._spelled(path, "t.csv") == str(PurePosixPath(path) / "t.csv"), path
+
+    def test_a_stat_error_other_than_missing_names_out(self, run_cli, tmp_path, capsys):
+        # a part longer than a file name may be fails the stat of out itself,
+        # so no directory above it is made and none is named
+        out = tmp_path / ("n" * 300) / "sub"
+        assert run_cli("table1", "--out", str(out)) == 2
+        expected = f"I/O error: [Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: '{out}'\n"
+        assert capsys.readouterr().err == expected
+        assert list(tmp_path.iterdir()) == []
 
     def test_file_at_a_staged_name_is_refused_and_kept(self, run_cli, tmp_path, capsys):
         assert run_cli("table1", "--out", str(tmp_path)) == 0
@@ -574,6 +615,12 @@ ONE_LINE_ERRORS = {
     "distances-over-cap": (
         ("table1",), {"sweeps": {"distances_m": [-1.0] * 100_002}}, 1,
         "invalid scenario: sweeps.distances_m must hold at most 100001 values"),
+    # a list at the cap is checked value by value, but only the first ten bad values are named
+    "distances-all-bad-at-cap": (
+        ("table1",), {"sweeps": {"distances_m": [-1.0] * 100_001}}, 1,
+        "invalid scenario: "
+        + "".join(f"sweeps.distances_m[{i}] must be > 0; " for i in range(10))
+        + "sweeps.distances_m has 99991 more bad values"),
     "section-solar-fuel": (
         ("table1",), {"green": {"balloon": {"source_kind": "SOLAR", "fuel_liters_per_hour": 1.0}}}, 1,
         "invalid scenario: green.balloon: a SOLAR profile must have fuel_liters_per_hour at 0"),
@@ -961,6 +1008,21 @@ class TestEntryPoint:
         assert sum("error:" in line for line in result.stderr.splitlines()) == 1
         assert "Traceback" not in result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "scenario.json"]
+
+    def test_a_valid_run_loads_no_path_module(self, tmp_path):
+        # -S keeps the site hooks, which may import pathlib themselves, out;
+        # paths are plain strings through os.path, so none of these is needed
+        code = (
+            "import sys; from balloonlink.__main__ import run; code = run(); "
+            "print(code, sorted({'pathlib', 're', 'fnmatch', 'urllib', 'ipaddress', 'ntpath'} & sys.modules.keys()))"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code, "table1", "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == f"wrote {tmp_path / 'table1.csv'}\n0 []\n"
 
     def test_a_valid_run_never_imports_argparse(self):
         result = _python("-X", "importtime", "-m", "balloonlink", "linkbudget")

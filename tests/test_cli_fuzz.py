@@ -111,7 +111,7 @@ def _call(argv):
 def check_contract(seed: int, tmp_path: Path) -> None:
     """Run CASES fuzz cases drawn from seed in tmp_path and check each keeps the contract."""
     rng = random.Random(seed)
-    base = json.loads(default_scenario_path().read_text(encoding="utf-8"))
+    base = json.loads(Path(default_scenario_path()).read_text(encoding="utf-8"))
     scenario_path, outputs = tmp_path / "scenario.json", tmp_path / "outputs"
     (outputs / "existing").mkdir(parents=True)
     (outputs / "blocker").write_text("not a directory", encoding="utf-8")

@@ -11,6 +11,7 @@ and byte by byte.
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -58,7 +59,7 @@ def _seeded_payload(seed: int, steps: int) -> dict:
 
 
 def _bundled_payload(steps: int) -> dict:
-    payload = json.loads(scen.default_scenario_path().read_text(encoding="utf-8"))
+    payload = json.loads(Path(scen.default_scenario_path()).read_text(encoding="utf-8"))
     sweeps = payload.setdefault("sweeps", {})
     for name in SWEEPS:
         sweeps[name] = {**sweeps.get(name, {}), "steps": steps}

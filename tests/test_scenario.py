@@ -48,7 +48,7 @@ class TestDefaults:
     def test_readme_block_is_the_bundled_file(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         block = re.search(r"```json\n(.*?)```", readme, re.DOTALL).group(1)
-        bundled = scen.default_scenario_path().read_text(encoding="utf-8")
+        bundled = Path(scen.default_scenario_path()).read_text(encoding="utf-8")
         assert json.loads(block) == json.loads(bundled)
 
     def test_defaults_help_is_pinned(self):
@@ -263,6 +263,16 @@ class TestValidation:
             "sweeps.distances_m[8] must be > 0",
         )
 
+    def test_bad_distances_past_the_tenth_are_counted_not_named(self):
+        # 14 bad values: 12 at the even indices 0-22, then 24 and 25
+        raw = dict(MINIMAL, sweeps={"distances_m": [-1.0, 2.0] * 12 + [0.0, "x", 5.0]})
+        with pytest.raises(scen.ScenarioValidationError) as excinfo:
+            scen.scenario_from_dict(raw)
+        assert excinfo.value.problems == (
+            *(f"sweeps.distances_m[{i}] must be > 0" for i in range(0, 20, 2)),
+            "sweeps.distances_m has 4 more bad values",
+        )
+
     def test_int_distances_load_as_floats(self, write_scenario):
         loaded = scen.load_scenario(write_scenario(dict(MINIMAL, sweeps={"distances_m": [1.5, 5, 7.0]})))
         assert loaded.table_distances_m == (1.5, 5.0, 7.0)
@@ -429,7 +439,7 @@ _FIXED_TEXTS = {
 def _mutants(count: int, seed: int):
     """count seeded texts, each the bundled scenario under one to three edits."""
     rng = random.Random(seed)
-    base = scen.default_scenario_path().read_text(encoding="utf-8")
+    base = Path(scen.default_scenario_path()).read_text(encoding="utf-8")
     for _ in range(count):
         text = base
         for _ in range(rng.randint(1, 3)):
