@@ -13,7 +13,6 @@ from .coverage import (
 from .emissions import (
     GreenComparison,
     PowerSourceProfile,
-    SourceKind,
     annual_emissions_tons,
     compare,
     diesel_profile,
@@ -21,7 +20,6 @@ from .emissions import (
     solar_profile,
 )
 from .exposure import (
-    ExposureZone,
     SweepSeries,
     ZoneThresholds,
     altitude_density_profile,

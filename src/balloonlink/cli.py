@@ -231,7 +231,7 @@ def _zones(s: Scenario, args: SimpleNamespace):
         tx, range_m = s.transmitter, s.geometry.altitude_m
         densities = [power_density(tx.power_w, tx.linear_gain(), range_m)]
     lines = ["density_w_m2,zone"]
-    lines.extend(f"{fmt(d)},{classify_zone(d, s.thresholds).name}" for d in densities)
+    lines.extend(f"{fmt(d)},{classify_zone(d, s.thresholds)}" for d in densities)
     yield "zones.csv", lines, range_m
 
 

@@ -6,7 +6,6 @@ values are engineering assumptions, not measured quantities; they are
 surfaced in output so nobody mistakes them for ground truth.
 """
 
-import enum
 import math
 
 from .coverage import replacement_count
@@ -20,33 +19,28 @@ DEFAULT_DIESEL_KG_CO2_PER_LITER = 2.68
 DEFAULT_GRID_KG_CO2_PER_KWH = 0.82
 
 
-class SourceKind(enum.Enum):
-    DIESEL = "DIESEL"
-    SOLAR = "SOLAR"
-    GRID = "GRID"
-
-
-# The fields of a profile that one station's emissions multiply, per kind,
-# each with its unit: a consumption per hour and an emission factor. A kind
-# with none emits nothing.
+# The source kinds, by the names they print, and the fields of a profile that
+# one station's emissions multiply, per kind, each with its unit: a
+# consumption per hour and an emission factor. A kind with none emits nothing.
 _EMISSION_FIELDS = {
-    SourceKind.DIESEL: (
+    "DIESEL": (
         ("fuel_liters_per_hour", "L/h"),
         ("emission_factor_kg_per_liter", "kg CO2/L"),
     ),
-    SourceKind.SOLAR: (),
-    SourceKind.GRID: (("grid_kwh_per_hour", "kWh/h"), ("grid_emission_kg_per_kwh", "kg CO2/kWh")),
+    "SOLAR": (),
+    "GRID": (("grid_kwh_per_hour", "kWh/h"), ("grid_emission_kg_per_kwh", "kg CO2/kWh")),
 }
 
 
 class PowerSourceProfile(Record):
     """How one base station is powered and what it emits.
 
-    A profile may set only the emission fields its source kind consumes;
-    every other one must be 0, so a SOLAR profile has all of them at 0.
+    source_kind is "DIESEL", "SOLAR" or "GRID". A profile may set only the
+    emission fields its source kind consumes; every other one must be 0, so
+    a SOLAR profile has all of them at 0.
     """
 
-    source_kind: SourceKind
+    source_kind: str
     fuel_liters_per_hour: float = 0.0
     emission_factor_kg_per_liter: float = 0.0
     grid_kwh_per_hour: float = 0.0
@@ -61,18 +55,20 @@ class PowerSourceProfile(Record):
     }
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.source_kind, str) and self.source_kind in _EMISSION_FIELDS):
+            raise ValueError(f"source_kind must be one of {', '.join(_EMISSION_FIELDS)}")
         consumed = [key for key, _ in _EMISSION_FIELDS[self.source_kind]]
         for key in self._bounds:  # in field order, so the first one set is named
             if key not in consumed and getattr(self, key):
-                raise ValueError(f"a {self.source_kind.value} profile must have {key} at 0")
+                raise ValueError(f"a {self.source_kind} profile must have {key} at 0")
 
     def summary(self) -> str:
         """The kind and the fields it consumes, as green.csv and the CLI help print them."""
         fields = _EMISSION_FIELDS[self.source_kind]
         if not fields:
-            return f"{self.source_kind.value} (zero emission)"
+            return f"{self.source_kind} (zero emission)"
         rate, factor = (f"{getattr(self, key):g} {unit}" for key, unit in fields)
-        return f"{self.source_kind.value} {rate} at {factor}"
+        return f"{self.source_kind} {rate} at {factor}"
 
 
 def diesel_profile(
@@ -80,14 +76,14 @@ def diesel_profile(
     kg_co2_per_liter: float = DEFAULT_DIESEL_KG_CO2_PER_LITER,
 ) -> PowerSourceProfile:
     return PowerSourceProfile(
-        source_kind=SourceKind.DIESEL,
+        source_kind="DIESEL",
         fuel_liters_per_hour=liters_per_hour,
         emission_factor_kg_per_liter=kg_co2_per_liter,
     )
 
 
 def solar_profile() -> PowerSourceProfile:
-    return PowerSourceProfile(source_kind=SourceKind.SOLAR)
+    return PowerSourceProfile(source_kind="SOLAR")
 
 
 def grid_profile(
@@ -95,7 +91,7 @@ def grid_profile(
     kg_co2_per_kwh: float = DEFAULT_GRID_KG_CO2_PER_KWH,
 ) -> PowerSourceProfile:
     return PowerSourceProfile(
-        source_kind=SourceKind.GRID,
+        source_kind="GRID",
         grid_kwh_per_hour=kwh_per_hour,
         grid_emission_kg_per_kwh=kg_co2_per_kwh,
     )

@@ -7,7 +7,6 @@ evaluation at that abscissa, so series endpoints can be compared bit for
 bit against direct calls.
 """
 
-import enum
 import math
 import operator
 from collections.abc import Sequence
@@ -45,14 +44,6 @@ ZONE_LIMIT_BAND_MHZ = (400.0, 2000.0)
 DEFAULT_CAUTION_FRACTION = 0.1
 
 
-class ExposureZone(enum.IntEnum):
-    """Exposure classification, ordered: higher value means more exposure."""
-
-    SAFE = 0
-    CAUTION = 1
-    EXCEEDS_LIMIT = 2
-
-
 class ZoneThresholds(Record):
     """Density limit and the fraction of it where caution starts."""
 
@@ -70,14 +61,14 @@ def default_thresholds(freq_mhz: float) -> ZoneThresholds:
     return ZoneThresholds(limit_w_m2=clamped / 200.0)
 
 
-def classify_zone(density_w_m2: float, thresholds: ZoneThresholds) -> ExposureZone:
-    """Classify a power density against the configured thresholds."""
+def classify_zone(density_w_m2: float, thresholds: ZoneThresholds) -> str:
+    """The zone of a power density: "SAFE", "CAUTION" or "EXCEEDS_LIMIT", in rising exposure."""
     _require(NON_NEGATIVE, density_w_m2=density_w_m2)
     if density_w_m2 >= thresholds.limit_w_m2:
-        return ExposureZone.EXCEEDS_LIMIT
+        return "EXCEEDS_LIMIT"
     if density_w_m2 >= thresholds.caution_fraction * thresholds.limit_w_m2:
-        return ExposureZone.CAUTION
-    return ExposureZone.SAFE
+        return "CAUTION"
+    return "SAFE"
 
 
 class SweepSeries(Record):

@@ -21,7 +21,6 @@ from _json import make_scanner
 from .emissions import (
     HOURS_PER_YEAR,
     PowerSourceProfile,
-    SourceKind,
     diesel_profile,
     grid_profile,
     solar_profile,
@@ -193,13 +192,10 @@ _FIELDS = {
     "green": _rows(Scenario),
 }
 
-# green.<name> is a power profile of this default source kind.
-_GREEN_PROFILES = {"terrestrial": SourceKind.DIESEL, "balloon": SourceKind.SOLAR}
-_PROFILE_DEFAULTS = {
-    SourceKind.DIESEL: diesel_profile(),
-    SourceKind.SOLAR: solar_profile(),
-    SourceKind.GRID: grid_profile(0.0),
-}
+# green.<name> is a power profile of this default source kind; each kind's
+# default profile is keyed by the kind's name.
+_GREEN_PROFILES = {"terrestrial": "DIESEL", "balloon": "SOLAR"}
+_PROFILE_DEFAULTS = {p.source_kind: p for p in (diesel_profile(), solar_profile(), grid_profile(0.0))}
 
 # sweeps.<name>: (default min, default max, bounds on min), in meters.
 _SWEEPS = {
@@ -229,7 +225,7 @@ def _defaults_help() -> str:
     }
     sections["green (assumed values, not measurements)"] = [
         *sections.pop("green"),
-        *(f"{name}={kind.value}" for name, kind in _GREEN_PROFILES.items()),
+        *(f"{name}={kind}" for name, kind in _GREEN_PROFILES.items()),
         *(profile.summary() for profile in _PROFILE_DEFAULTS.values()),
     ]
     key, steps, ((_, least), (_, most)) = _STEPS
@@ -291,14 +287,13 @@ def _numbers(section: dict, qualified: str, rows, problems: list[str]) -> dict:
     }
 
 
-def _profile(value, qualified: str, default_kind: SourceKind, problems: list[str]):
+def _profile(value, qualified: str, default_kind: str, problems: list[str]):
     section = _object(value, qualified, PowerSourceProfile._fields, problems)
-    kind = section.get("source_kind", default_kind.value)
-    if not (isinstance(kind, str) and kind.upper() in SourceKind.__members__):
-        kinds = ", ".join(SourceKind.__members__)
-        problems.append(f"{qualified}.source_kind must be one of {kinds}")
+    kind = section.get("source_kind", default_kind)
+    if not (isinstance(kind, str) and kind.upper() in _PROFILE_DEFAULTS):
+        problems.append(f"{qualified}.source_kind must be one of {', '.join(_PROFILE_DEFAULTS)}")
         return None
-    defaults = _PROFILE_DEFAULTS[SourceKind[kind.upper()]]
+    defaults = _PROFILE_DEFAULTS[kind.upper()]
     numbers = _numbers(section, qualified, _rows(PowerSourceProfile, defaults), problems)
     if None in numbers.values():  # _number has appended the problem
         return None

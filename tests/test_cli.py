@@ -18,6 +18,7 @@ from balloonlink import __main__ as balloonlink_main
 from balloonlink import cli
 from balloonlink import scenario as scen
 from balloonlink.cli import FIGURE_IDS
+from balloonlink.emissions import grid_profile, solar_profile
 from balloonlink.propagation import (
     FREE_SPACE_IMPEDANCE_OHM,
     TransmitterConfig,
@@ -388,6 +389,24 @@ class TestGreen:
             == 0
         )
         assert "avoided_tons,0.00000e+00" in (tmp_path / "green.csv").read_text()
+
+    def test_source_kinds_are_case_insensitive_and_print_canonically(
+        self, run_cli, write_scenario, tmp_path
+    ):
+        path = write_scenario(
+            {
+                "transmitter": {"power_w": 20.0, "freq_mhz": 900.0},
+                "green": {
+                    "terrestrial": {"source_kind": "grid", "grid_kwh_per_hour": 3.0},
+                    "balloon": {"source_kind": "Solar"},
+                },
+            }
+        )
+        loaded = scen.load_scenario(str(path))
+        assert (loaded.green_terrestrial, loaded.green_balloon) == (grid_profile(3.0), solar_profile())
+        assert run_cli("green", "--scenario", str(path), "--out", str(tmp_path)) == 0
+        text = (tmp_path / "green.csv").read_text()
+        assert "terrestrial=GRID 3 kWh/h at 0.82 kg CO2/kWh, balloon=SOLAR (zero emission)\n" in text
 
 
 class TestZones:
@@ -1009,20 +1028,26 @@ class TestEntryPoint:
         assert "Traceback" not in result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "scenario.json"]
 
-    def test_a_valid_run_loads_no_path_module(self, tmp_path):
-        # -S keeps the site hooks, which may import pathlib themselves, out;
-        # paths are plain strings through os.path, so none of these is needed
+    @pytest.mark.parametrize("command", cli.PRODUCTS)
+    def test_a_valid_run_loads_no_path_or_enum_module(self, tmp_path, command):
+        # -S keeps the site hooks, which may import pathlib or enum themselves,
+        # out; paths are plain strings through os.path and zones and source
+        # kinds are the names they print, so none of these is needed
         code = (
             "import sys; from balloonlink.__main__ import run; code = run(); "
-            "print(code, sorted({'pathlib', 're', 'fnmatch', 'urllib', 'ipaddress', 'ntpath'} & sys.modules.keys()))"
+            "print(code, sorted({'pathlib', 're', 'fnmatch', 'urllib', 'ipaddress', 'ntpath', 'enum'}"
+            " & sys.modules.keys()))"
         )
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
         result = subprocess.run(
-            [sys.executable, "-S", "-c", code, "table1", "--out", str(tmp_path)],
+            [sys.executable, "-S", "-c", code, command, "--out", str(tmp_path)],
             capture_output=True, text=True, env=env,
         )
         assert (result.returncode, result.stderr) == (0, "")
-        assert result.stdout == f"wrote {tmp_path / 'table1.csv'}\n0 []\n"
+        *output, verdict = result.stdout.splitlines()
+        assert verdict == "0 []"
+        if command != "linkbudget":  # the one product printed, not written
+            assert output == [f"wrote {tmp_path / name}" for name in sorted(os.listdir(tmp_path))]
 
     def test_a_valid_run_never_imports_argparse(self):
         result = _python("-X", "importtime", "-m", "balloonlink", "linkbudget")

@@ -9,7 +9,7 @@ class TestProfiles:
     def test_solar_must_be_zero_emission(self):
         with pytest.raises(ValueError):
             em.PowerSourceProfile(
-                source_kind=em.SourceKind.SOLAR, fuel_liters_per_hour=1.0
+                source_kind="SOLAR", fuel_liters_per_hour=1.0
             )
 
     @pytest.mark.parametrize(
@@ -23,19 +23,24 @@ class TestProfiles:
     )
     def test_a_profile_sets_only_its_kinds_fields(self, kind, fields, field):
         with pytest.raises(ValueError, match=f"^a {kind} profile must have {field} at 0$"):
-            em.PowerSourceProfile(em.SourceKind[kind], **fields)
+            em.PowerSourceProfile(kind, **fields)
+
+    @pytest.mark.parametrize("kind", ["COAL", "diesel", "", None, 1, ["DIESEL"]])
+    def test_an_unknown_kind_is_a_value_error_naming_the_kinds(self, kind):
+        with pytest.raises(ValueError, match="^source_kind must be one of DIESEL, SOLAR, GRID$"):
+            em.PowerSourceProfile(kind)
 
     def test_negative_fields_rejected(self):
         with pytest.raises(ValueError):
             em.PowerSourceProfile(
-                source_kind=em.SourceKind.DIESEL, fuel_liters_per_hour=-1.0
+                source_kind="DIESEL", fuel_liters_per_hour=-1.0
             )
 
     def test_helpers_apply_defaults(self):
         diesel = em.diesel_profile()
         assert diesel.fuel_liters_per_hour == 2.0
         assert diesel.emission_factor_kg_per_liter == 2.68
-        assert em.solar_profile().source_kind is em.SourceKind.SOLAR
+        assert em.solar_profile().source_kind == "SOLAR"
         assert em.grid_profile(1.5).grid_emission_kg_per_kwh == 0.82
 
     @pytest.mark.parametrize(

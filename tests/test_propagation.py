@@ -483,7 +483,7 @@ _FINITE_GUARDED = {
         ),
     ),
     "PowerSourceProfile": (
-        functools.partial(em.PowerSourceProfile, em.SourceKind.DIESEL),
+        functools.partial(em.PowerSourceProfile, "DIESEL"),
         dict(
             fuel_liters_per_hour=2.0,
             emission_factor_kg_per_liter=2.68,

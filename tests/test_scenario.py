@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from balloonlink import scenario as scen
-from balloonlink.emissions import PowerSourceProfile, SourceKind
+from balloonlink.emissions import PowerSourceProfile
 from balloonlink.exposure import ZoneThresholds
 from balloonlink.propagation import LinkGeometry, TransmitterConfig
 
@@ -27,8 +27,8 @@ class TestDefaults:
         assert loaded.geometry.rx_antenna_height_m == 1.5
         assert loaded.thresholds.limit_w_m2 == pytest.approx(4.5)
         assert loaded.thresholds.caution_fraction == 0.1
-        assert loaded.green_terrestrial.source_kind is SourceKind.DIESEL
-        assert loaded.green_balloon.source_kind is SourceKind.SOLAR
+        assert loaded.green_terrestrial.source_kind == "DIESEL"
+        assert loaded.green_balloon.source_kind == "SOLAR"
         assert loaded.hours_per_year == 8760.0
         assert loaded.ground_offset_sweep.max == 25.0
         assert loaded.altitude_sweep.min == 200.0
