@@ -144,11 +144,10 @@ def _warnings(messages) -> list[str]:
 def _near_field_warnings(s: Scenario, range_m: float) -> list[str]:
     """The warning for a shortest range inside the antenna's near field.
 
-    The free-space laws every product evaluates hold only beyond the
-    far-field boundary 2L^2/lambda, L the antenna's largest dimension.
+    The free-space laws hold only beyond the far-field boundary 2L^2/lambda,
+    L the antenna's largest dimension. A product that evaluates a range puts
+    this line at the head of its lines, computed after the values it guards.
     """
-    if range_m == math.inf:  # the product evaluates no range
-        return []
     boundary = s.transmitter.near_field_m()
     if range_m < boundary:
         return _warnings(
@@ -161,7 +160,8 @@ def _table1(s: Scenario, args: SimpleNamespace):
     lines = ["distance_m,power_density_w_m2"]
     # the rows go straight into lines, so no local holds them while render joins
     lines.extend(f"{fmt(r)},{fmt(density)}" for r, density in table_one(s.transmitter, s.table_distances_m))
-    yield "table1.csv", lines, min(s.table_distances_m)
+    lines[:0] = _near_field_warnings(s, min(s.table_distances_m))
+    yield "table1.csv", lines
 
 
 def _exposure(s: Scenario, args: SimpleNamespace):
@@ -169,7 +169,8 @@ def _exposure(s: Scenario, args: SimpleNamespace):
     for figure in [args.figure] if args.figure else FIGURE_IDS:
         build, shortest_range, unit, extra = _FIGURES[figure]
         series = build(s)
-        lines = [*extra, f"# series: {series.label}; abscissa: {series.abscissa_name}"]
+        lines = _near_field_warnings(s, shortest_range(s))
+        lines += [*extra, f"# series: {series.label}; abscissa: {series.abscissa_name}"]
         lines.append("abscissa,value,unit")
         # All rows as one block. The sampled axes are cached, so figures over
         # one axis share its column object, which is converted once; matched
@@ -180,7 +181,7 @@ def _exposure(s: Scenario, args: SimpleNamespace):
             text = float_column(xs)
             columns.append((xs, text))
         lines.append(row_template(text, unit) % series.values)
-        yield f"{figure}.csv", lines, shortest_range(s)
+        yield f"{figure}.csv", lines
 
 
 def _coverage(s: Scenario, args: SimpleNamespace):
@@ -198,7 +199,7 @@ def _coverage(s: Scenario, args: SimpleNamespace):
     for index, (x, y) in enumerate(constellation.centers_km()):
         lines.append(f"{index},{fmt(x)},{fmt(y)}")
     lines.append(f"union_area_km2,{fmt(union)}")
-    yield "coverage.csv", lines, math.inf
+    yield "coverage.csv", lines
 
 
 def _green(s: Scenario, args: SimpleNamespace):
@@ -221,38 +222,38 @@ def _green(s: Scenario, args: SimpleNamespace):
     ]
     for key in ("terrestrial_annual_tons", "balloon_annual_tons", "avoided_tons"):
         lines.append(f"{key},{fmt(getattr(comparison, key))}")
-    yield "green.csv", lines, math.inf
+    yield "green.csv", lines
 
 
 def _zones(s: Scenario, args: SimpleNamespace):
-    densities, range_m = args.densities, math.inf
+    densities, lines = args.densities, ["density_w_m2,zone"]
     if densities is None:
         # default: classify the peak ground density, directly under the platform
         tx, range_m = s.transmitter, s.geometry.altitude_m
         densities = [power_density(tx.power_w, tx.linear_gain(), range_m)]
-    lines = ["density_w_m2,zone"]
+        lines[:0] = _near_field_warnings(s, range_m)
     lines.extend(f"{fmt(d)},{classify_zone(d, s.thresholds)}" for d in densities)
-    yield "zones.csv", lines, range_m
+    yield "zones.csv", lines
 
 
 def _linkbudget(s: Scenario, args: SimpleNamespace):
     tx, geometry = s.transmitter, s.geometry
     result = link_budget(tx, geometry)
     range_km = result.range_m / 1000.0
-    lines = _warnings(hata_validity_warnings(tx.freq_mhz, geometry.bs_antenna_height_m, range_km))
+    lines = _near_field_warnings(s, result.range_m)
+    lines += _warnings(hata_validity_warnings(tx.freq_mhz, geometry.bs_antenna_height_m, range_km))
     lines.append("key,value")
     # the record's field order is the row order
     for key in result._fields:
         lines.append(f"{key},{fmt(getattr(result, key))}")
-    yield None, lines, result.range_m
+    yield None, lines
 
 
 class Product(Record):
     """One subcommand: renderer, help text and its own flags."""
 
     # yields (file name, or None for stdout; its lines, which render joins
-    # after the scenario notes and near-field warning; the shortest range
-    # the lines evaluate, inf where they evaluate none)
+    # after the scenario notes)
     renderer: Callable
     help: str
     flags: dict
@@ -399,30 +400,31 @@ def _replace_all(out: str, files: dict[str, str]) -> list[str]:
 def render(scenario: Scenario, args: SimpleNamespace) -> dict[str | None, str]:
     """The full text of each output of the product, by file name (None for stdout).
 
-    A text is the scenario notes, the near-field warning for the shortest
-    range the output evaluates, then the product's lines, each ending in
+    A text is the scenario notes, then the product's lines, each ending in
     LF. It touches no file and no stream.
     """
     notes = _warnings(scenario.notes)
-    return {
-        name: "\n".join([*notes, *_near_field_warnings(scenario, range_m), *lines, ""])
-        for name, lines, range_m in PRODUCTS[args.command].renderer(scenario, args)
-    }
+    outputs = PRODUCTS[args.command].renderer(scenario, args)
+    return {name: "\n".join([*notes, *lines, ""]) for name, lines in outputs}
 
 
 def _run(scenario: Scenario, args: SimpleNamespace) -> None:
     """Render every output of the product, replace its files as one set, then report them.
 
     A failed render writes nothing, a failed write leaves the old files as
-    they were, and a failed report (a closed stdout) comes after every file
-    is in place, so the files are all of one run.
+    they were, and a failed report (a closed stdout, or one whose codec
+    cannot spell a path) comes after every file is in place, so the files
+    are all of one run.
     """
     files = render(scenario, args)
     stdout = files.pop(None, "")
     targets = _replace_all(args.out or scenario.output_dir, files) if files else []
     if sys.stdout is None:  # descriptor 1 was closed when the process started
         raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
-    sys.stdout.write(stdout + "".join(f"wrote {target}\n" for target in targets))
+    try:
+        sys.stdout.write(stdout + "".join(f"wrote {target}\n" for target in targets))
+    except UnicodeEncodeError as exc:  # a ValueError, but the stream failed, not the input
+        raise OSError(errno.EILSEQ, str(exc), "<stdout>") from None
 
 
 def build_parser():

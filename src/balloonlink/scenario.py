@@ -368,6 +368,11 @@ def scenario_from_dict(raw: dict) -> Scenario:
         problems.append("output_dir must be a non-empty string")
     elif "\0" in output_dir:  # no file system path can hold one
         problems.append("output_dir must not contain a NUL character")
+    else:
+        try:  # a lone surrogate outside the escapes U+DC80-U+DCFF spells no path's bytes
+            os.fsencode(output_dir)
+        except UnicodeEncodeError:
+            problems.append("output_dir must be encodable as a file-system path")
 
     if problems:
         raise ScenarioValidationError(problems)

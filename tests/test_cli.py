@@ -3,6 +3,7 @@
 import errno
 import gc
 import hashlib
+import io
 import itertools
 import math
 import os
@@ -613,6 +614,7 @@ _F323 = {"transmitter": {"freq_mhz": 2e-323}}  # the wavelength overflows to inf
 _HUGE_PG = {"transmitter": {"power_w": 1e308, "gain_linear": 1e10}}
 _TINY_F = {"transmitter": {"freq_mhz": 1e-300}}  # lambda^2 overflows; the range is fine
 _NUL_DIR = {"output_dir": "a\u0000b"}  # refused even where --out overrides it
+_SURROGATE_DIR = {"output_dir": "x\ud800y"}  # no path's bytes decode to it; refused as _NUL_DIR is
 # a field too small for a float is 0 in fig6 and in fig8 alike
 _ALTITUDE_TO_1E300 = {"sweeps": {"altitude": {"min": 200.0, "max": 1e300, "steps": 3}}}
 # E^2 overflows a float here, but the density E*(E/(120*pi)), 1.00464e+307 W/m^2, does not
@@ -667,6 +669,11 @@ ONE_LINE_ERRORS = {
         ("table1",), _NUL_DIR, 1, "invalid scenario: output_dir must not contain a NUL character"),
     "section-output-dir-nul-linkbudget": (
         ("linkbudget",), _NUL_DIR, 1, "invalid scenario: output_dir must not contain a NUL character"),
+    "section-output-dir-surrogate-table1": (
+        ("table1",), _SURROGATE_DIR, 1, "invalid scenario: output_dir must be encodable as a file-system path"),
+    "section-output-dir-surrogate-linkbudget": (
+        ("linkbudget",), _SURROGATE_DIR, 1,
+        "invalid scenario: output_dir must be encodable as a file-system path"),
     "db-gain-overflow": (
         ("table1",), {"transmitter": {"gain_db": 1e308}}, 1,
         "value_db=1e+308 is out of range: 10^(dB/10) is not a float > 0"),
@@ -1200,6 +1207,19 @@ class TestClosedStdout:
         assert run_cli("table1", "--out", str(tmp_path)) == 2
         assert capsys.readouterr().err == "I/O error: [Errno 9] Bad file descriptor: '<stdout>'\n"
         assert [p.name for p in tmp_path.iterdir()] == ["table1.csv"]
+
+    def test_a_path_stdout_cannot_encode_is_one_io_error(self, run_cli, tmp_path, capsys, monkeypatch):
+        # a strict UTF-8 stdout, Python's default under a UTF-8 locale, and a
+        # directory name that is not UTF-8 (byte 0xff, decoded as U+DCFF)
+        stream = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+        monkeypatch.setattr(sys, "stdout", stream)
+        out = tmp_path / "n\udcff"
+        assert run_cli("table1", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"I/O error: [Errno {errno.EILSEQ}] 'utf-8' codec can't encode character '\\udcff'")
+        assert err.endswith(": '<stdout>'\n") and err.count("\n") == 1
+        assert [p.name for p in out.iterdir()] == ["table1.csv"]
+        assert stream.buffer.getvalue() == b""
 
     def test_main_leaves_the_callers_descriptor_alone(self, tmp_path, capsys, monkeypatch):
         read_end, write_end = os.pipe()

@@ -21,18 +21,28 @@ why:
 --write first checks every job's outputs with the benchmark's independent
 oracle, ``perfbench/checker.py``, and writes nothing if it rejects one.
 Without --write the script checks the corpus; it needs no pytest.
+
+The bytes must not hang on the last ulp of libm's ``pow`` and ``log10``,
+which IEEE 754 does not require to round correctly. So every float the
+runs print through ``cli``'s three format seams is recorded, and each must
+lie at least TIE_MARGIN_ULPS ulps from the nearest tie of its ``%.5e``
+rounding (``too_close``). Script mode prints the smallest margin of each
+kind of float.
 """
 
 from __future__ import annotations
 
 import contextlib
+import decimal
 import hashlib
 import importlib.util
 import io
 import json
+import math
 import shutil
 import sys
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 
 from balloonlink import cli
@@ -98,6 +108,83 @@ def jobs(workload_seed: str, tmp: Path, check: bool = False) -> dict[str, dict]:
     return result
 
 
+TIE_MARGIN_ULPS = 1024
+# what printed a float: cli.fmt, a row template's % or cli.float_column
+KINDS = ("scalar", "value", "abscissa")
+
+
+def tie_margin_ulps(x: float) -> Decimal:
+    """The distance from x (finite, not 0) to its nearest %.5e rounding tie, in ulps of x.
+
+    A tie is a decimal of seven significant digits ending in 5, where the
+    six digits %.5e prints flip. Just above a power of ten the nearest tie
+    below lies in the decade beneath: 9.999995 times a power of ten.
+    """
+    with decimal.localcontext() as context:
+        context.prec = 800  # exact: a float has at most 767 significant decimal digits
+        shift = 5 - Decimal(x).adjusted()
+        q = abs(Decimal(x)).scaleb(shift)  # in units of the sixth digit: 100000 <= q < 1000000
+        half = Decimal("0.5")
+        n = (q + half).to_integral_value(rounding=decimal.ROUND_FLOOR)  # the ties n - 1/2 <= q < n + 1/2
+        below = max(n - half, Decimal("99999.95"))
+        return min(q - below, n + half - q).scaleb(-shift) / Decimal(math.ulp(x))
+
+
+def _echoed(x: float) -> bool:
+    """Whether x has at most seven significant digits, as an input echoed from a scenario does."""
+    return float(format(x, ".6e")) == x
+
+
+def too_close(printed: dict[str, list[float]]) -> list[tuple[str, float]]:
+    """(kind, float) of each printed float within TIE_MARGIN_ULPS ulps of a %.5e tie.
+
+    Abscissas are exempt, since they are sampled from the scenario's
+    endpoints with +, * and / alone, which IEEE 754 rounds correctly; so are
+    echoed inputs. A float passes at once when x nudged by 2**-32 of itself,
+    over 2**20 ulps, down and up prints the same: no tie lies that near.
+    """
+    return [
+        (kind, x)
+        for kind in KINDS[:2]
+        for x in printed[kind]
+        if format(x * (1 - 2**-32), ".5e") != format(x * (1 + 2**-32), ".5e")
+        and not _echoed(x)
+        and tie_margin_ulps(x) < TIE_MARGIN_ULPS
+    ]
+
+
+@contextlib.contextmanager
+def printed_floats():
+    """Record, by kind, every float cli prints while in the block, through its three format seams."""
+    printed = {kind: [] for kind in KINDS}
+    fmt, float_column, row_template = cli.fmt, cli.float_column, cli.row_template
+
+    class Rows(str):
+        def __mod__(self, values):
+            printed["value"].extend(values)
+            return str.__mod__(self, values)
+
+    cli.fmt = lambda x: printed["scalar"].append(x) or fmt(x)
+    cli.float_column = lambda xs: printed["abscissa"].extend(xs) or float_column(xs)
+    cli.row_template = lambda column, unit: Rows(row_template(column, unit))
+    try:
+        yield printed
+    finally:
+        cli.fmt, cli.float_column, cli.row_template = fmt, float_column, row_template
+
+
+def smallest_margins(printed: dict[str, list[float]]) -> dict[str, Decimal]:
+    """Each kind's smallest tie margin in ulps.
+
+    It is taken over every abscissa but 0, since abscissas reach ties, and
+    over every other float but echoed inputs, which the guard exempts.
+    """
+    return {
+        kind: min(tie_margin_ulps(x) for x in set(values) if x and (kind == "abscissa" or not _echoed(x)))
+        for kind, values in printed.items()
+    }
+
+
 def stored_bundled(command: str) -> dict[str, str]:
     directory = BUNDLED / command
     return {path.name: path.read_bytes().decode() for path in sorted(directory.iterdir())}
@@ -123,14 +210,45 @@ else:
 
     @pytest.mark.parametrize("command", list(cli.PRODUCTS))
     def test_bundled_scenario(command, tmp_path):
-        actual, expected = bundled(command, tmp_path), stored_bundled(command)
+        with printed_floats() as printed:
+            actual = bundled(command, tmp_path)
+        expected = stored_bundled(command)
         assert sorted(actual) == sorted(expected)
         for name in expected:
             assert actual[name] == expected[name], name
+        assert too_close(printed) == []
 
     @pytest.mark.parametrize("workload_seed", WORKLOAD_SEEDS)
     def test_benchmark_jobs(workload_seed, tmp_path):
-        assert jobs(workload_seed, tmp_path) == stored_jobs()[workload_seed]
+        with printed_floats() as printed:
+            actual = jobs(workload_seed, tmp_path)
+        assert actual == stored_jobs()[workload_seed]
+        assert too_close(printed) == []
+
+    def test_tie_margin_is_exact_in_ulps():
+        tie = 369.5625  # 3.695625e+02: seven digits ending in 5, a double exactly
+        assert tie_margin_ulps(tie) == tie_margin_ulps(-tie) == 0
+        assert tie_margin_ulps(math.nextafter(tie, math.inf)) == 1
+        assert tie_margin_ulps(math.nextafter(tie, 0.0)) == 1
+        # 1000 lies between the ties 999.9995, in the decade beneath, and 1000.005
+        assert tie_margin_ulps(1000.0) == Decimal("0.0005") / Decimal(math.ulp(1000.0))
+
+    def test_a_float_one_ulp_from_a_tie_fails_the_guard():
+        planted = math.nextafter(369.5625, math.inf)
+        far = 369.5625 + 2**20 * math.ulp(369.5625)
+        for kind in ("scalar", "value"):
+            printed = {"scalar": [], "value": [], "abscissa": [], kind: [1.0, planted, far]}
+            assert too_close(printed) == [(kind, planted)]
+        # a tie itself has seven digits, as an echoed input; abscissas are exempt
+        assert too_close({"scalar": [369.5625], "value": [], "abscissa": [planted]}) == []
+
+    def test_the_seams_see_every_kind_and_are_restored(tmp_path):
+        seams = cli.fmt, cli.float_column, cli.row_template
+        with printed_floats() as printed:
+            for command in ("exposure", "table1"):
+                bundled(command, tmp_path)
+        assert (cli.fmt, cli.float_column, cli.row_template) == seams
+        assert all(printed[kind] for kind in KINDS)
 
     def test_write_refuses_a_corpus_the_oracle_rejects(tmp_path, monkeypatch, capsys):
         def reject(command, *args):
@@ -151,13 +269,21 @@ def main(argv: list[str]) -> int:
     if argv and not write:
         print("usage: test_corpus.py [--write]", file=sys.stderr)
         return 2
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, printed_floats() as printed:
         actual_bundled = {command: bundled(command, Path(tmp)) for command in cli.PRODUCTS}
         try:
             actual_jobs = {key: jobs(key, Path(tmp), check=write) for key in WORKLOAD_SEEDS}
         except checker.CheckError as exc:
             print(f"the oracle rejects a job, corpus not written: {exc}", file=sys.stderr)
             return 1
+    for kind, margin in smallest_margins(printed).items():
+        print(f"smallest tie margin, {kind}: {int(margin)} ulps")
+    close = too_close(printed)
+    for kind, x in close:
+        print(f"{kind} {x!r} lies {tie_margin_ulps(x):.0f} ulps from a %.5e tie", file=sys.stderr)
+    if write and close:
+        print("corpus not written", file=sys.stderr)
+        return 1
     if write:
         shutil.rmtree(BUNDLED, ignore_errors=True)
         for command, files in actual_bundled.items():
@@ -173,7 +299,7 @@ def main(argv: list[str]) -> int:
     for entry in moved:
         print(f"differs: {entry}")
     print("corpus differs" if moved else "corpus matches")
-    return 1 if moved else 0
+    return 1 if moved or close else 0
 
 
 if __name__ == "__main__":

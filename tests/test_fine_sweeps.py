@@ -144,7 +144,7 @@ def _exposure_files(monkeypatch, figures: dict) -> dict:
         monkeypatch.setitem(cli._FIGURES, figure, entry)
     args = cli.build_parser().parse_args(["exposure"])
     s = scen.load_scenario(scen.default_scenario_path())
-    return {name: lines for name, lines, _ in cli._exposure(s, args)}
+    return dict(cli._exposure(s, args))
 
 
 def test_column_reuse_is_keyed_on_identity(monkeypatch):

@@ -273,6 +273,18 @@ class TestValidation:
             "sweeps.distances_m has 4 more bad values",
         )
 
+    @pytest.mark.parametrize("surrogate", ["\udc80", "\udcff"])
+    def test_output_dir_keeps_the_escapes_of_undecodable_bytes(self, surrogate):
+        # how a file-system path that is not UTF-8 reads as str
+        output_dir = f"x{surrogate}y"
+        assert scen.scenario_from_dict(dict(MINIMAL, output_dir=output_dir)).output_dir == output_dir
+
+    @pytest.mark.parametrize("surrogate", ["\udc7f", "\udd00"])  # just outside the escapes
+    def test_output_dir_no_path_can_hold_is_refused(self, surrogate):
+        with pytest.raises(scen.ScenarioValidationError) as excinfo:
+            scen.scenario_from_dict(dict(MINIMAL, output_dir=f"x{surrogate}y"))
+        assert excinfo.value.problems == ("output_dir must be encodable as a file-system path",)
+
     def test_int_distances_load_as_floats(self, write_scenario):
         loaded = scen.load_scenario(write_scenario(dict(MINIMAL, sweeps={"distances_m": [1.5, 5, 7.0]})))
         assert loaded.table_distances_m == (1.5, 5.0, 7.0)
