@@ -37,7 +37,7 @@ from .exposure import (
     table_one,
 )
 from .propagation import Record, hata_validity_warnings, link_budget, power_density
-from .scenario import DEFAULTS_HELP, Scenario, default_scenario_path, load_scenario
+from .scenario import DEFAULTS_HELP, Scenario, _path_problem, default_scenario_path, load_scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -82,8 +82,9 @@ def _spelled(*parts: str) -> str:
 
 def _path(text: str) -> str:
     # "" would be spelled ".", a directory the user never named
-    if not text:
-        raise _type_error("expected a non-empty path")
+    problem = _path_problem(text) if text else "expected a non-empty path"
+    if problem:
+        raise _type_error(problem)
     return _spelled(text)
 
 
@@ -328,51 +329,40 @@ _COMMON_FLAGS = {
 }
 
 
-def _exists(path: str) -> bool:
-    """Whether anything is at path, symlinks followed.
-
-    Only ENOENT, ENOTDIR, EBADF and ELOOP read as nothing there. Any other
-    stat error, such as a name too long or a directory that cannot be
-    searched, is raised and names path itself.
-    """
-    try:
-        os.stat(path)
-    except OSError as exc:
-        if exc.errno in (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP):
-            return False
-        raise
-    return True
-
-
 def _replace_all(out: str, files: dict[str, str]) -> list[str]:
     """Replace the files in the directory out, {name: text}, as one set, or none of them.
 
-    out is created with its missing parents; an out that is not a directory
-    fails the call before anything is staged. Each file is written once,
-    under a hidden staged name in out qualified by the process id. Only
-    when every write has succeeded and no target is a directory (which a
-    rename cannot replace) is each staged file renamed, once, onto its
-    target. A failure before that removes every staged file written and
-    every directory created, so the old set stays as it was. Returns the
-    targets' paths. Every path, in the result and in an error, is spelled
-    as _spelled spells it.
+    out is made with its missing parents as `mkdir -p` makes it, asking
+    mkdir itself: a mkdir that finds no parent makes the parent first, a
+    directory already at a name (made meanwhile by another process, too) is
+    used as it is, and anything else at a name fails the call as not a
+    directory, before anything is staged. Each file is written once, under
+    a hidden staged name in out qualified by the process id. Only when
+    every write has succeeded and no target is a directory (which a rename
+    cannot replace) is each staged file renamed, once, onto its target. A
+    failure before that removes every staged file written and every
+    directory created that is still empty, so the old set stays as it was
+    and the failure is the error raised. Returns the targets' paths. Every
+    path, in the result and in an error, is spelled as _spelled spells it.
     """
     out = _spelled(out)
-    missing = []  # out, then each parent up to "." or the root, while nothing is there
-    directory = out
-    while not _exists(directory):
-        missing.append(directory)
-        parent = os.path.dirname(directory) or "."
-        if parent == directory:
-            break
-        directory = parent
     created, staged = [], []
     try:
-        for directory in reversed(missing):
-            os.mkdir(directory)
-            created.append(directory)
-        if not os.path.isdir(out):
-            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), out)
+        # a loop, not recursion as in os.makedirs: a path may have thousands of parts
+        pending = [out]  # out, then each parent its child's mkdir found missing
+        while pending:
+            directory = pending.pop()
+            try:
+                os.mkdir(directory)
+                created.append(directory)
+            except FileNotFoundError:
+                parent = os.path.dirname(directory)
+                if parent in ("", directory):
+                    raise
+                pending += [directory, parent]
+            except FileExistsError:
+                if not os.path.isdir(directory):  # a file, or a dangling or looping symlink
+                    raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), directory) from None
         for name, text in files.items():
             stage = _spelled(out, f".{name}.{os.getpid()}.staged")
             # listed only once written: the create is exclusive, so a file
@@ -391,8 +381,13 @@ def _replace_all(out: str, files: dict[str, str]) -> list[str]:
                 os.unlink(stage)
             except FileNotFoundError:
                 pass
+        # a directory another process has written into meanwhile is kept, and
+        # the error that caused the rollback is the one raised
         for directory in reversed(created):
-            os.rmdir(directory)
+            try:
+                os.rmdir(directory)
+            except OSError:
+                pass
         raise
     return targets
 

@@ -250,6 +250,17 @@ def _defaults_help() -> str:
 DEFAULTS_HELP = _defaults_help()
 
 
+def _path_problem(text: str) -> str | None:
+    """Why no file-system path can be text, as words after its name, or None."""
+    if "\0" in text:
+        return "must not contain a NUL character"
+    try:  # a lone surrogate outside the escapes U+DC80-U+DCFF spells no path's bytes
+        os.fsencode(text)
+    except UnicodeEncodeError:
+        return "must be encodable as a file-system path"
+    return None
+
+
 def _object(value, qualified: str, known, problems: list[str]) -> dict:
     """value as a JSON object, {} when not one; unknown keys are problems."""
     if not isinstance(value, dict):
@@ -366,13 +377,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
     output_dir = raw.get("output_dir", ".")
     if not isinstance(output_dir, str) or not output_dir:
         problems.append("output_dir must be a non-empty string")
-    elif "\0" in output_dir:  # no file system path can hold one
-        problems.append("output_dir must not contain a NUL character")
-    else:
-        try:  # a lone surrogate outside the escapes U+DC80-U+DCFF spells no path's bytes
-            os.fsencode(output_dir)
-        except UnicodeEncodeError:
-            problems.append("output_dir must be encodable as a file-system path")
+    elif problem := _path_problem(output_dir):
+        problems.append(f"output_dir {problem}")
 
     if problems:
         raise ScenarioValidationError(problems)

@@ -199,13 +199,88 @@ class TestReplaceAll:
             assert cli._spelled(path, "t.csv") == str(PurePosixPath(path) / "t.csv"), path
 
     def test_a_stat_error_other_than_missing_names_out(self, run_cli, tmp_path, capsys):
-        # a part longer than a file name may be fails the stat of out itself,
+        # a part longer than a file name may be fails the mkdir of out itself,
         # so no directory above it is made and none is named
         out = tmp_path / ("n" * 300) / "sub"
         assert run_cli("table1", "--out", str(out)) == 2
         expected = f"I/O error: [Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: '{out}'\n"
         assert capsys.readouterr().err == expected
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out, lands_in", [("a/../b", "b"), ("x/y/../z", "x/z")])
+    def test_missing_parents_before_a_dotdot_are_made_as_mkdir_p_makes_them(
+        self, run_cli, tmp_path, capsys, monkeypatch, out, lands_in
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("table1", "--out", out) == 0
+        assert capsys.readouterr().out == f"wrote {out}/table1.csv\n"
+        assert (tmp_path / lands_in / "table1.csv").read_text() == TABLE1_GOLDEN
+
+    def test_out_made_meanwhile_by_another_process_is_used(self, run_cli, tmp_path, capsys, monkeypatch):
+        out = str(tmp_path / "out")
+        real_mkdir = os.mkdir
+        raced = []
+
+        def racing_mkdir(path, *args, **kwargs):
+            if path == out and not raced:  # the other process makes out first
+                raced.append(path)
+                real_mkdir(path)
+            return real_mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "mkdir", racing_mkdir)
+        assert run_cli("table1", "--out", out) == 0
+        assert raced == [out]
+        assert capsys.readouterr().out == f"wrote {out}/table1.csv\n"
+        assert (tmp_path / "out" / "table1.csv").read_text() == TABLE1_GOLDEN
+
+    def test_out_symlinked_to_a_directory_is_used(self, run_cli, tmp_path, capsys):
+        (tmp_path / "dir").mkdir()
+        out = tmp_path / "out"
+        out.symlink_to(tmp_path / "dir")
+        assert run_cli("table1", "--out", str(out)) == 0
+        assert (tmp_path / "dir" / "table1.csv").read_text() == TABLE1_GOLDEN
+
+    @pytest.mark.parametrize("target", ["missing", "out"], ids=["dangling", "looping"])
+    def test_a_symlink_at_out_to_no_directory_is_not_a_directory(self, run_cli, tmp_path, capsys, target):
+        out = tmp_path / "out"
+        out.symlink_to(tmp_path / target)
+        assert run_cli("table1", "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"I/O error: [Errno 20] Not a directory: '{out}'\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_a_missing_path_of_1500_parts_is_made_without_recursion(
+        self, run_cli, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        out = "/".join(["d"] * 1500)
+        try:
+            assert run_cli("table1", "--out", out) == 0
+            assert capsys.readouterr().out == f"wrote {out}/table1.csv\n"
+        finally:
+            # os.removedirs is iterative; shutil.rmtree, which cleans tmp_path, recurses
+            if os.path.isdir(out):
+                if os.path.exists(f"{out}/table1.csv"):
+                    os.remove(f"{out}/table1.csv")
+                os.removedirs(out)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out, kept", [("new", "new"), ("a/../b", "b")])
+    def test_a_rollback_keeps_a_directory_written_into_and_raises_the_first_error(
+        self, run_cli, tmp_path, capsys, monkeypatch, out, kept
+    ):
+        foreign = tmp_path / kept / "foreign.txt"
+
+        def foreign_file_then_full_disk(path, lines):
+            foreign.write_bytes(b"not ours\n")  # another process writes into the new directory
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "write_csv", foreign_file_then_full_disk)
+        assert run_cli("table1", "--out", out) == 2
+        assert capsys.readouterr().err == "I/O error: [Errno 28] No space left on device\n"
+        assert foreign.read_bytes() == b"not ours\n"
+        # every other directory the run made is gone: "a" is removed after "b" fails
+        assert [str(p.relative_to(tmp_path)) for p in sorted(tmp_path.rglob("*"))] == [kept, f"{kept}/foreign.txt"]
 
     def test_file_at_a_staged_name_is_refused_and_kept(self, run_cli, tmp_path, capsys):
         assert run_cli("table1", "--out", str(tmp_path)) == 0
@@ -838,6 +913,23 @@ class TestExitCodes:
         assert excinfo.value.code == 1
         err = capsys.readouterr().err
         assert err.endswith(f"balloonlink table1: error: argument {flag}: expected a non-empty path\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--out", "--scenario"])
+    @pytest.mark.parametrize(
+        "text, problem",
+        [("x\ud800y", "must be encodable as a file-system path"), ("a\0b", "must not contain a NUL character")],
+        ids=["surrogate", "nul"],
+    )
+    def test_a_path_no_file_system_can_hold_is_usage_error(
+        self, run_cli, tmp_path, monkeypatch, capsys, flag, text, problem
+    ):
+        # only an in-process argv can carry one: a process's argv decodes with surrogateescape
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("table1", flag, text)
+        assert excinfo.value.code == 1
+        assert capsys.readouterr().err.endswith(f"balloonlink table1: error: argument {flag}: {problem}\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_malformed_json_is_validation_error(self, run_cli, tmp_path, capsys):
