@@ -21,8 +21,6 @@ import errno
 import math
 import os
 import sys
-from collections.abc import Callable
-from types import SimpleNamespace
 
 from . import __version__
 from .coverage import MAX_BALLOONS, cell_radius_from_budget, constellation_layout, union_area_km2
@@ -157,7 +155,7 @@ def _near_field_warnings(s: Scenario, range_m: float) -> list[str]:
     return []
 
 
-def _table1(s: Scenario, args: SimpleNamespace):
+def _table1(s: Scenario, args: dict):
     lines = ["distance_m,power_density_w_m2"]
     # the rows go straight into lines, so no local holds them while render joins
     lines.extend(f"{fmt(r)},{fmt(density)}" for r, density in table_one(s.transmitter, s.table_distances_m))
@@ -165,17 +163,18 @@ def _table1(s: Scenario, args: SimpleNamespace):
     yield "table1.csv", lines
 
 
-def _exposure(s: Scenario, args: SimpleNamespace):
+def _exposure(s: Scenario, args: dict):
     columns = []  # (abscissas, converted column) of each abscissa column seen
-    for figure in [args.figure] if args.figure else FIGURE_IDS:
+    for figure in [args["figure"]] if args["figure"] else FIGURE_IDS:
         build, shortest_range, unit, extra = _FIGURES[figure]
         series = build(s)
         lines = _near_field_warnings(s, shortest_range(s))
         lines += [*extra, f"# series: {series.label}; abscissa: {series.abscissa_name}"]
         lines.append("abscissa,value,unit")
-        # All rows as one block. The sampled axes are cached, so figures over
-        # one axis share its column object, which is converted once; matched
-        # with `is`, not ==, since -0.0 == 0.0 prints differently.
+        # All rows as one block. Each axis keeps the samples of its window
+        # (exposure._sample_axis), so figures over one axis share its column
+        # object, which is converted once; matched with `is`, not ==, since
+        # -0.0 == 0.0 prints differently.
         xs = series.abscissas
         text = next((text for seen, text in columns if seen is xs), None)
         if text is None:
@@ -185,15 +184,15 @@ def _exposure(s: Scenario, args: SimpleNamespace):
         yield f"{figure}.csv", lines
 
 
-def _coverage(s: Scenario, args: SimpleNamespace):
+def _coverage(s: Scenario, args: dict):
     tx, geometry = s.transmitter, s.geometry
     radius = cell_radius_from_budget(
         tx.freq_mhz,
         geometry.bs_antenna_height_m,
         geometry.rx_antenna_height_m,
-        args.max_path_loss_db,
+        args["max_path_loss_db"],
     )
-    constellation = constellation_layout(args.num_balloons, radius)
+    constellation = constellation_layout(args["num_balloons"], radius)
     union = union_area_km2(constellation)
     lines = _warnings(hata_validity_warnings(tx.freq_mhz, geometry.bs_antenna_height_m, radius))
     lines += [f"cell_radius_km,{fmt(radius)}", "# columns: index,x_km,y_km"]
@@ -203,19 +202,19 @@ def _coverage(s: Scenario, args: SimpleNamespace):
     yield "coverage.csv", lines
 
 
-def _green(s: Scenario, args: SimpleNamespace):
+def _green(s: Scenario, args: dict):
     comparison = compare(
         s.green_terrestrial,
         s.green_balloon,
-        args.balloon_radius_km,
-        args.terrestrial_radius_km,
+        args["balloon_radius_km"],
+        args["terrestrial_radius_km"],
         s.hours_per_year,
     )
     lines = [
         "# assumptions: "
         f"hours_per_year={s.hours_per_year:g}, "
-        f"balloon_radius_km={args.balloon_radius_km:g}, "
-        f"terrestrial_radius_km={args.terrestrial_radius_km:g}, "
+        f"balloon_radius_km={args['balloon_radius_km']:g}, "
+        f"terrestrial_radius_km={args['terrestrial_radius_km']:g}, "
         f"terrestrial={s.green_terrestrial.summary()}, "
         f"balloon={s.green_balloon.summary()}",
         "key,value",
@@ -226,8 +225,8 @@ def _green(s: Scenario, args: SimpleNamespace):
     yield "green.csv", lines
 
 
-def _zones(s: Scenario, args: SimpleNamespace):
-    densities, lines = args.densities, ["density_w_m2,zone"]
+def _zones(s: Scenario, args: dict):
+    densities, lines = args["densities"], ["density_w_m2,zone"]
     if densities is None:
         # default: classify the peak ground density, directly under the platform
         tx, range_m = s.transmitter, s.geometry.altitude_m
@@ -237,7 +236,7 @@ def _zones(s: Scenario, args: SimpleNamespace):
     yield "zones.csv", lines
 
 
-def _linkbudget(s: Scenario, args: SimpleNamespace):
+def _linkbudget(s: Scenario, args: dict):
     tx, geometry = s.transmitter, s.geometry
     result = link_budget(tx, geometry)
     range_km = result.range_m / 1000.0
@@ -253,9 +252,9 @@ def _linkbudget(s: Scenario, args: SimpleNamespace):
 class Product(Record):
     """One subcommand: renderer, help text and its own flags."""
 
-    # yields (file name, or None for stdout; its lines, which render joins
-    # after the scenario notes)
-    renderer: Callable
+    # called with the scenario and the flags dict, yields (file name, or
+    # None for stdout; its lines, which render joins after the scenario notes)
+    renderer: object
     help: str
     flags: dict
 
@@ -392,18 +391,18 @@ def _replace_all(out: str, files: dict[str, str]) -> list[str]:
     return targets
 
 
-def render(scenario: Scenario, args: SimpleNamespace) -> dict[str | None, str]:
+def render(scenario: Scenario, args: dict) -> dict[str | None, str]:
     """The full text of each output of the product, by file name (None for stdout).
 
-    A text is the scenario notes, then the product's lines, each ending in
+    args is the flags dict, as _parse_quick returns it. A text is the scenario notes, then the product's lines, each ending in
     LF. It touches no file and no stream.
     """
     notes = _warnings(scenario.notes)
-    outputs = PRODUCTS[args.command].renderer(scenario, args)
+    outputs = PRODUCTS[args["command"]].renderer(scenario, args)
     return {name: "\n".join([*notes, *lines, ""]) for name, lines in outputs}
 
 
-def _run(scenario: Scenario, args: SimpleNamespace) -> None:
+def _run(scenario: Scenario, args: dict) -> None:
     """Render every output of the product, replace its files as one set, then report them.
 
     A failed render writes nothing, a failed write leaves the old files as
@@ -413,7 +412,7 @@ def _run(scenario: Scenario, args: SimpleNamespace) -> None:
     """
     files = render(scenario, args)
     stdout = files.pop(None, "")
-    targets = _replace_all(args.out or scenario.output_dir, files) if files else []
+    targets = _replace_all(args["out"] or scenario.output_dir, files) if files else []
     if sys.stdout is None:  # descriptor 1 was closed when the process started
         raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
     try:
@@ -465,14 +464,16 @@ def build_parser():
     return parser
 
 
-def _parse_quick(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace of an argv `COMMAND (--flag VALUE)*`, or None for argparse to parse.
+def _parse_quick(argv: list[str]) -> dict | None:
+    """The flags of an argv `COMMAND (--flag VALUE)*`, or None for argparse to parse.
 
-    Each flag is spelled in full and read from the tables build_parser adds
-    it from, with the same type, choices and default, so the namespace is
-    the one argparse returns. Anything else is None: help, the version, an
-    abbreviation, `--flag=value`, a value that starts with "-" (argparse
-    may read it as a flag), a value the flag's type or choices refuse.
+    The flags are a dict from each flag's dest ("command" too) to its
+    value. Each flag is spelled in full and read from the tables
+    build_parser adds it from, with the same type, choices and default, so
+    the dict is the one vars() gives of argparse's namespace. Anything else
+    is None: help, the version, an abbreviation, `--flag=value`, a value
+    that starts with "-" (argparse may read it as a flag), a value the
+    flag's type or choices refuse.
     """
     if not argv or argv[0] not in PRODUCTS or len(argv) % 2 == 0:
         return None
@@ -489,7 +490,7 @@ def _parse_quick(argv: list[str]) -> SimpleNamespace | None:
         if "choices" in keywords and value not in keywords["choices"]:
             return None
         values[flag] = value  # a repeated flag's last value wins, as in argparse
-    return SimpleNamespace(command=argv[0], **{flag[2:].replace("-", "_"): v for flag, v in values.items()})
+    return {"command": argv[0], **{flag[2:].replace("-", "_"): v for flag, v in values.items()}}
 
 
 def _report(line: str) -> None:
@@ -514,8 +515,8 @@ def main(argv: list[str]) -> int:
     """
     try:
         try:
-            args = _parse_quick(argv) or build_parser().parse_args(argv, SimpleNamespace())
-            scenario_path = args.scenario if args.scenario is not None else default_scenario_path()
+            args = _parse_quick(argv) or vars(build_parser().parse_args(argv))
+            scenario_path = args["scenario"] if args["scenario"] is not None else default_scenario_path()
             _run(load_scenario(scenario_path), args)
         finally:
             if sys.stdout is not None:

@@ -9,8 +9,6 @@ bit against direct calls.
 
 import math
 import operator
-from collections.abc import Sequence
-from functools import lru_cache
 from itertools import chain, islice, repeat
 
 from .propagation import (
@@ -110,20 +108,28 @@ class SweepSeries(Record):
         return tuple(zip(self.abscissas, self.values))
 
 
-@lru_cache(maxsize=3)
+# axis name -> ((lo, hi, num_steps), samples) of the window it was last sampled on
+_SAMPLED = {}
+
+
 def _sample_axis(lo: float, hi: float, num_steps: int, axis: str = "x") -> tuple[float, ...]:
     """Uniform float samples on [lo, hi], 0 <= lo < hi, with both endpoints exact.
 
     num_steps is an integral count within SWEEP_STEPS. Raises ValueError
     naming the axis when the samples are not strictly ascending, that is
-    when the step is below float resolution at hi. The last three axes are
-    kept, so profiles over one axis share its samples.
+    when the step is below float resolution at hi. Each axis name keeps the
+    samples of its last window, and a call on an equal window (by ==, so 2
+    and 2.0 are one window, and so are -0.0 and 0.0, whose samples are
+    equal) returns that same tuple: profiles over one axis share its
+    samples. An error is never kept.
     """
+    window, samples = _SAMPLED.get(axis, (None, None))
+    if window == (lo, hi, num_steps):
+        return samples
     _require(SWEEP_STEPS, num_steps=num_steps)
     num_steps = int(num_steps)
     step = (hi - lo) / (num_steps - 1)
-    xs = [lo + i * step for i in range(num_steps)]
-    xs[-1] = float(hi)
+    xs = (*[lo + i * step for i in range(num_steps - 1)], float(hi))
     # Each sample is within about one ulp(hi) of its exact value, so a step
     # of a few ulp(hi) proves them ascending without a pass over them.
     if step <= 4.0 * math.ulp(hi) and not all(a < b for a, b in zip(xs, xs[1:])):
@@ -131,7 +137,8 @@ def _sample_axis(lo: float, hi: float, num_steps: int, axis: str = "x") -> tuple
             f"{axis} sweep from {lo!r} to {hi!r} in {num_steps} steps "
             "is finer than float resolution"
         )
-    return tuple(xs)
+    _SAMPLED[axis] = (lo, hi, num_steps), xs
+    return xs
 
 
 def _sweep(label: str, abscissa_name: str, xs, single_point, values) -> SweepSeries:
@@ -159,7 +166,7 @@ def _axis(axis: str, lo: float, hi: float, num_steps: int) -> tuple[float, ...]:
 
 
 def table_one(
-    tx: TransmitterConfig, distances_m: Sequence[float]
+    tx: TransmitterConfig, distances_m: list[float] | tuple[float, ...]
 ) -> tuple[tuple[float, float], ...]:
     """Power density at each listed distance, as (R, P_d) rows; at most SWEEP_STEPS' cap of them."""
     if not distances_m:

@@ -8,6 +8,7 @@ import itertools
 import math
 import os
 import re
+import signal
 import stat
 import subprocess
 import sys
@@ -341,7 +342,7 @@ class TestRender:
         scenario = scen.load_scenario(scen.default_scenario_path())
         with monkeypatch.context() as patch:
             patch.setattr(sys, "stdout", FailingStream())
-            texts = cli.render(scenario, cli.build_parser().parse_args(argv))
+            texts = cli.render(scenario, vars(cli.build_parser().parse_args(argv)))
         assert not out.exists()
 
         assert run_cli(*argv) == 0
@@ -1130,12 +1131,13 @@ class TestEntryPoint:
     @pytest.mark.parametrize("command", cli.PRODUCTS)
     def test_a_valid_run_loads_no_path_or_enum_module(self, tmp_path, command):
         # -S keeps the site hooks, which may import pathlib or enum themselves,
-        # out; paths are plain strings through os.path and zones and source
-        # kinds are the names they print, so none of these is needed
+        # out; paths are plain strings through os.path, zones and source
+        # kinds are the names they print, the sampled axes are kept in a
+        # dict and the flags are one, so none of these is needed
         code = (
             "import sys; from balloonlink.__main__ import run; code = run(); "
-            "print(code, sorted({'pathlib', 're', 'fnmatch', 'urllib', 'ipaddress', 'ntpath', 'enum'}"
-            " & sys.modules.keys()))"
+            "print(code, sorted({'pathlib', 're', 'fnmatch', 'urllib', 'ipaddress', 'ntpath', 'enum',"
+            " 'functools', 'collections', 'types'} & sys.modules.keys()))"
         )
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
         result = subprocess.run(
@@ -1147,6 +1149,34 @@ class TestEntryPoint:
         assert verdict == "0 []"
         if command != "linkbudget":  # the one product printed, not written
             assert output == [f"wrote {tmp_path / name}" for name in sorted(os.listdir(tmp_path))]
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
+    def test_a_signal_rolls_the_run_back_and_kills_it(self, tmp_path, signum):
+        # the third staged write signals the process itself, mid-set
+        code = (
+            "import os, sys; from balloonlink import cli; from balloonlink.__main__ import run\n"
+            "calls = []\n"
+            "def write_csv(path, text, write=cli.write_csv):\n"
+            "    calls.append(path)\n"
+            f"    if len(calls) == 3: os.kill(os.getpid(), {int(signum)})\n"
+            "    write(path, text)\n"
+            "cli.write_csv = write_csv\n"
+            "sys.exit(run())\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        old = tmp_path / "old"
+        assert cli.main(["exposure", "--out", str(old)]) == 0
+        kept = {p.name: (p.read_bytes(), p.stat().st_ino) for p in old.iterdir()}
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text('{"transmitter": {"power_w": 40.0, "freq_mhz": 900.0}}', encoding="utf-8")
+        for out in (old, tmp_path / "new" / "deeper"):
+            argv = ["exposure", "--scenario", str(scenario), "--out", str(out)]
+            result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+            assert result.returncode == -signum
+            assert result.stderr == f"stopped by signal {int(signum)} ({signal.strsignal(signum)})\n"
+            # no staged file, no directory the run made, and the old set as it was
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["old", "scenario.json"]
+            assert {p.name: (p.read_bytes(), p.stat().st_ino) for p in old.iterdir()} == kept
 
     def test_a_valid_run_never_imports_argparse(self):
         result = _python("-X", "importtime", "-m", "balloonlink", "linkbudget")

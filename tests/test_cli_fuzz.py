@@ -193,7 +193,7 @@ def _argparse(parser, argv):
 
 def _same(quick, parsed) -> bool:
     # repr compares NaN equal to NaN, and an int unequal to an equal float
-    return parsed is not None and repr(sorted(vars(quick).items())) == repr(sorted(vars(parsed).items()))
+    return parsed is not None and repr(sorted(quick.items())) == repr(sorted(vars(parsed).items()))
 
 
 def test_quick_parse_declines_or_agrees_with_argparse():

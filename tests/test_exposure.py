@@ -253,6 +253,24 @@ class TestSweepSeriesInvariants:
         fig5 = exp.ground_density_profile(TX, 200.0, 25.0)
         assert fig4.abscissas is fig5.abscissas
 
+    def test_an_axis_keeps_only_the_samples_of_its_window(self):
+        first = exp._sample_axis(1.0, 2.0, 3, "memo_m")
+        second = exp._sample_axis(1.0, 3.0, 3, "memo_m")
+        assert (first, second) == ((1.0, 1.5, 2.0), (1.0, 2.0, 3.0))
+        assert exp._sample_axis(1.0, 3.0, 3, "memo_m") is second
+        assert exp._sample_axis(1.0, 2.0, 3, "memo_m") == first
+
+    def test_a_too_fine_sweep_raises_on_every_call(self):
+        hi = 1.0 + 4 * math.ulp(1.0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^fine_m sweep from 1.0 to .* in 101 steps is finer"):
+                exp._sample_axis(1.0, hi, 101, "fine_m")
+        # an error is not kept: the axis's last good window still answers
+        samples = exp._sample_axis(1.0, 2.0, 3, "fine_m")
+        with pytest.raises(ValueError, match="finer than float resolution"):
+            exp._sample_axis(1.0, hi, 101, "fine_m")
+        assert exp._sample_axis(1.0, 2.0, 3, "fine_m") is samples
+
     def test_sampled_axis_is_float_whatever_the_argument_types(self):
         assert exp._sample_axis(1.0, 2.0, 3) == (1.0, 1.5, 2.0)
         samples = exp._sample_axis(1, 2, 3)

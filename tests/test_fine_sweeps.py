@@ -142,7 +142,7 @@ def _exposure_files(monkeypatch, figures: dict) -> dict:
     """Every figure's lines from cli._exposure, with figures patched into cli._FIGURES."""
     for figure, entry in figures.items():
         monkeypatch.setitem(cli._FIGURES, figure, entry)
-    args = cli.build_parser().parse_args(["exposure"])
+    args = vars(cli.build_parser().parse_args(["exposure"]))
     s = scen.load_scenario(scen.default_scenario_path())
     return dict(cli._exposure(s, args))
 
