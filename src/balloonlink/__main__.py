@@ -3,7 +3,8 @@
 ``run`` is the only code that knows it owns the whole process: it passes
 ``sys.argv[1:]`` to ``cli.main``, turns SIGINT and SIGTERM into a rolled
 back run, repairs a dead stdout and freezes the heap. ``cli.main`` touches
-no process state, so tests and library callers can run it in-process.
+no process state but a signal mask it restores, so tests and library
+callers can run it in-process.
 """
 
 import _signal  # the C half of signal, which imports enum
@@ -27,7 +28,9 @@ def run() -> int:
     """Run the CLI on sys.argv and return its exit code.
 
     While main runs, SIGINT and SIGTERM raise KeyboardInterrupt, so a run
-    they stop rolls back its files as on any other failure; a signal that is
+    they stop rolls back its files as on any other failure. Over the renames
+    that put a file set in place, cli holds both signals, so one that arrives
+    then stops the run only once the whole set is in place. A signal that is
     ignored, or has a handler of its own, is left as it is. The stopped run
     then writes one stderr line and dies by the same signal, so its parent
     sees the status the signal's default action gives. A run that is not

@@ -8,7 +8,8 @@ touching no file or stream, and ``_run`` then replaces the files as one
 set and only then reports them. Exit codes: 0 success, 1 validation or
 usage error, 2 I/O error.
 
-``main(argv)`` touches no process state: it reads only the argv it is
+``main(argv)`` touches no process state but the calling thread's signal
+mask, which it restores (``_replace_all``): it reads only the argv it is
 given and no file descriptor, so it runs in-process as well as in its
 own process (``__main__.run``, which owns the process).
 
@@ -17,6 +18,7 @@ from the flag tables; argparse is imported only to word help, the version
 and usage errors (``build_parser``).
 """
 
+import _signal  # loaded at interpreter start, unlike signal, which imports enum
 import errno
 import math
 import os
@@ -280,10 +282,10 @@ PRODUCTS = {
         "layout, written to coverage.csv",
         {
             "--max-path-loss-db": dict(
-                type=float, default=140.0, help="path-loss budget that sets the cell radius"
+                type=float, default=140.0, help="path-loss budget that sets the cell radius (default: %(default)s)"
             ),
             "--num-balloons": dict(
-                type=int, default=7, help=f"number of platforms to lay out (at most {MAX_BALLOONS})"
+                type=int, default=7, help=f"number of platforms to lay out (at most {MAX_BALLOONS}) (default: %(default)s)"
             ),
         },
     ),
@@ -291,9 +293,9 @@ PRODUCTS = {
         _green,
         "annual CO2 of the replaced terrestrial fleet vs the platform, written to green.csv",
         {
-            "--balloon-radius-km": dict(type=float, default=10.0, help="platform cell radius"),
+            "--balloon-radius-km": dict(type=float, default=10.0, help="platform cell radius (default: %(default)s)"),
             "--terrestrial-radius-km": dict(
-                type=float, default=1.0, help="terrestrial cell radius"
+                type=float, default=1.0, help="terrestrial cell radius (default: %(default)s)"
             ),
         },
     ),
@@ -338,10 +340,12 @@ def _replace_all(out: str, files: dict[str, str]) -> list[str]:
     directory, before anything is staged. Each file is written once, under
     a hidden staged name in out qualified by the process id. Only when
     every write has succeeded and no target is a directory (which a rename
-    cannot replace) is each staged file renamed, once, onto its target. A
-    failure before that removes every staged file written and every
-    directory created that is still empty, so the old set stays as it was
-    and the failure is the error raised. Returns the targets' paths. Every
+    cannot replace) is each staged file renamed, once, onto its target,
+    with SIGINT and SIGTERM held in the thread's signal mask, which is then
+    restored: a signal that arrives meanwhile takes effect only once the
+    whole set is in place. A failure before the renames removes every
+    staged file written and every directory created that is still empty,
+    so the old set stays as it was and the failure is the error raised. Returns the targets' paths. Every
     path, in the result and in an error, is spelled as _spelled spells it.
     """
     out = _spelled(out)
@@ -372,8 +376,14 @@ def _replace_all(out: str, files: dict[str, str]) -> list[str]:
         for target in targets:
             if os.path.isdir(target):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
-        for stage, target in zip(staged, targets):
-            os.replace(stage, target)
+        held = _signal.pthread_sigmask(_signal.SIG_BLOCK, (_signal.SIGINT, _signal.SIGTERM))
+        try:
+            for stage, target in zip(staged, targets):
+                os.replace(stage, target)
+        finally:
+            # a signal held meanwhile is raised here; the rollback below then
+            # finds no staged file and no empty directory to remove
+            _signal.pthread_sigmask(_signal.SIG_SETMASK, held)
     except BaseException:
         for stage in staged:
             try:
@@ -439,9 +449,6 @@ def build_parser():
             if message and file is not None:
                 file.write(message)
 
-    class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter, argparse.RawDescriptionHelpFormatter):
-        """Show flag defaults but keep the epilog's line structure."""
-
     parser = _Parser(
         prog="balloonlink",
         description="Link-budget, exposure and coverage products for an "
@@ -457,7 +464,7 @@ def build_parser():
             help=product.help,
             description=product.help,
             epilog=DEFAULTS_HELP,
-            formatter_class=_HelpFormatter,
+            formatter_class=argparse.RawDescriptionHelpFormatter,
         )
         for flag, keywords in {**_COMMON_FLAGS, **product.flags}.items():
             sub.add_argument(flag, **keywords)

@@ -6,10 +6,8 @@ values are engineering assumptions, not measured quantities; they are
 surfaced in output so nobody mistakes them for ground truth.
 """
 
-import math
-
 from .coverage import replacement_count
-from .propagation import NON_NEGATIVE, POSITIVE, Record, _finite, _float_range_error, _require
+from .propagation import NON_NEGATIVE, POSITIVE, Record, _finite, _require
 
 HOURS_PER_YEAR = 8760.0
 
@@ -149,16 +147,15 @@ def compare(
     platform cell replaces (area ratio, rounded up).
     """
     replaced = replacement_count(balloon_radius_km, terrestrial_radius_km)
-    terrestrial = replaced * annual_emissions_tons(terrestrial_profile, hours_per_year)
-    if terrestrial == math.inf:  # a finite station's emissions times a huge count
-        raise _float_range_error(
-            "terrestrial annual emissions",
-            {
-                "balloon_radius_km": balloon_radius_km,
-                "terrestrial_radius_km": terrestrial_radius_km,
-                **_emission_inputs(terrestrial_profile, hours_per_year),
-            },
-        )
+    station = annual_emissions_tons(terrestrial_profile, hours_per_year)
+    # a finite station's emissions times a huge count; one that emits nothing cannot overflow
+    terrestrial = _finite(
+        "terrestrial annual emissions",
+        replaced * station,
+        balloon_radius_km=balloon_radius_km,
+        terrestrial_radius_km=terrestrial_radius_km,
+        **(_emission_inputs(terrestrial_profile, hours_per_year) if station else {}),
+    )
     balloon = annual_emissions_tons(balloon_profile, hours_per_year)
     return GreenComparison(
         terrestrial_annual_tons=terrestrial,

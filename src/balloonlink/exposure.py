@@ -168,10 +168,8 @@ def _axis(axis: str, lo: float, hi: float, num_steps: int) -> tuple[float, ...]:
 def table_one(
     tx: TransmitterConfig, distances_m: list[float] | tuple[float, ...]
 ) -> tuple[tuple[float, float], ...]:
-    """Power density at each listed distance, as (R, P_d) rows; at most SWEEP_STEPS' cap of them."""
-    if not distances_m:
-        raise ValueError("distances_m must not be empty")
-    _require(SWEEP_STEPS[-1:], **{"len(distances_m)": len(distances_m)})
+    """Power density at each listed distance, as (R, P_d) rows; from one to SWEEP_STEPS' cap of them."""
+    _require(((">=", 1), *SWEEP_STEPS[-1:]), **{"len(distances_m)": len(distances_m)})
     gain = tx.linear_gain()
     return tuple((r, power_density(tx.power_w, gain, r)) for r in distances_m)
 

@@ -1035,6 +1035,17 @@ class TestExitCodes:
         flags = ["-h", "--scenario", "--out", *cli.PRODUCTS[command].flags]
         assert re.findall(r"\[(--?[\w-]+)", usage) == flags
 
+    @pytest.mark.parametrize("command", cli.PRODUCTS)
+    def test_help_shows_each_flag_default_once(self, run_cli, capsys, command):
+        with pytest.raises(SystemExit):
+            run_cli(command, "--help")
+        # argparse may wrap "(default:" onto the next line
+        page = " ".join(capsys.readouterr().out.split())
+        assert "(default: None)" not in page
+        for flag, keywords in {**cli._COMMON_FLAGS, **cli.PRODUCTS[command].flags}.items():
+            if "default" in keywords:
+                assert page.count(f"(default: {keywords['default']})") == 1, flag
+
     def test_help_lists_every_table_default(self, run_cli, capsys):
         with pytest.raises(SystemExit):
             run_cli("--help")
@@ -1177,6 +1188,33 @@ class TestEntryPoint:
             # no staged file, no directory the run made, and the old set as it was
             assert sorted(p.name for p in tmp_path.iterdir()) == ["old", "scenario.json"]
             assert {p.name: (p.read_bytes(), p.stat().st_ino) for p in old.iterdir()} == kept
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
+    def test_a_signal_between_renames_lands_after_the_whole_set(self, tmp_path, signum):
+        # the third rename signals the process itself, mid-set
+        code = (
+            "import os, sys; from balloonlink.__main__ import run\n"
+            "calls = []\n"
+            "def replace(src, dst, rename=os.replace):\n"
+            "    calls.append(src)\n"
+            f"    if len(calls) == 3: os.kill(os.getpid(), {int(signum)})\n"
+            "    rename(src, dst)\n"
+            "os.replace = replace\n"
+            "sys.exit(run())\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text('{"transmitter": {"power_w": 40.0, "freq_mhz": 900.0}}', encoding="utf-8")
+        clean, out = tmp_path / "clean", tmp_path / "out"
+        assert cli.main(["exposure", "--scenario", str(scenario), "--out", str(clean)]) == 0
+        assert cli.main(["exposure", "--out", str(out)]) == 0
+        argv = ["exposure", "--scenario", str(scenario), "--out", str(out)]
+        result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+        assert result.returncode == -signum
+        assert result.stderr == f"stopped by signal {int(signum)} ({signal.strsignal(signum)})\n"
+        # no staged file, and every target is the new run's
+        expected = {p.name: p.read_bytes() for p in clean.iterdir()}
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == expected
 
     def test_a_valid_run_never_imports_argparse(self):
         result = _python("-X", "importtime", "-m", "balloonlink", "linkbudget")

@@ -198,6 +198,7 @@ DIESEL = em.diesel_profile()
         (lambda: exp.default_thresholds(-900.0), "freq_mhz must be > 0"),
         (lambda: exp.classify_zone(math.nan, THRESHOLDS), "density_w_m2 must be finite"),
         (lambda: exp.classify_zone(-0.1, THRESHOLDS), "density_w_m2 must be >= 0"),
+        (lambda: exp.table_one(TX, []), "len(distances_m) must be an integer >= 1"),
         (lambda: exp.table_one(TX, [1.0] * 100_002), "len(distances_m) must be an integer <= 100001"),
         (lambda: exp.ground_density_profile(TX, 0.0, 25.0), "altitude_m must be > 0"),
         (lambda: exp.ground_density_profile(TX, 150.0, math.inf), "offset_max_m must be finite"),
@@ -236,6 +237,7 @@ DIESEL = em.diesel_profile()
         "default-thresholds",
         "classify-nan",
         "classify-negative",
+        "table-one-empty",
         "table-one-cap",
         "ground-altitude",
         "ground-offset-max",
