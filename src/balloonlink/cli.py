@@ -20,7 +20,6 @@ and usage errors (``build_parser``).
 
 import _signal  # loaded at interpreter start, unlike signal, which imports enum
 import errno
-import math
 import os
 import sys
 
@@ -36,7 +35,7 @@ from .exposure import (
     received_power_profile,
     table_one,
 )
-from .propagation import Record, hata_validity_warnings, link_budget, power_density
+from .propagation import Record, hata_validity_warnings, link_budget, power_density, slant_range
 from .scenario import DEFAULTS_HELP, Scenario, _path_problem, default_scenario_path, load_scenario
 
 EXIT_OK = 0
@@ -121,7 +120,7 @@ def _received_vs_altitude(s: Scenario):
 
 
 def _lowest_altitude_range(s: Scenario) -> float:
-    return math.hypot(s.altitude_sweep.min, s.geometry.ground_offset_m)
+    return slant_range(s.altitude_sweep.min, s.geometry.ground_offset_m)
 
 
 _FIG7_NOTE = "# note: distance-decay radiation reported as free-space power density"

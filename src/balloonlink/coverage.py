@@ -12,6 +12,7 @@ from .propagation import (
     POSITIVE,
     Record,
     _finite,
+    _pow10,
     _require,
     hata_path_loss,
     hata_slope_db_per_decade,
@@ -88,10 +89,7 @@ def cell_radius_from_budget(
         )
     fixed = hata_path_loss(freq_mhz, bs_antenna_height_m, rx_antenna_height_m, 1.0)
     exponent = (max_path_loss_db - fixed) / slope
-    try:
-        radius = 10.0**exponent
-    except OverflowError:
-        radius = math.inf
+    radius = _pow10(exponent)
     area = radius * radius
     if 0.0 < area < math.inf:
         return radius

@@ -74,13 +74,18 @@ def _finite(quantity: str, value: float, /, **inputs: float) -> float:
     raise _float_range_error(quantity, inputs)
 
 
+def _pow10(exponent: float) -> float:
+    """10^exponent, or inf where that overflows a float."""
+    try:
+        return 10.0**exponent
+    except OverflowError:
+        return math.inf
+
+
 def db_to_linear(value_db: float) -> float:
     """Convert a decibel power ratio to linear: 10^(dB/10), a float > 0."""
     _require((), value_db=value_db)
-    try:
-        ratio = 10.0 ** (value_db / 10.0)
-    except OverflowError:
-        ratio = math.inf
+    ratio = _pow10(value_db / 10.0)
     if not 0.0 < ratio < math.inf:
         raise ValueError(f"value_db={value_db:g} is out of range: 10^(dB/10) is not a float > 0")
     return ratio
@@ -233,14 +238,8 @@ def power_density(power_w: float, gain_linear: float, range_m: float) -> float:
 def e_field_rms(power_w: float, gain_linear: float, range_m: float) -> float:
     """Rms electric field sqrt(30*P*G) / R, in V/m."""
     _check_field_inputs(power_w, gain_linear, range_m)
-    field = math.sqrt(30.0 * power_w * gain_linear) / range_m
-    if field < math.inf:
-        return field
-    raise _float_range_error(
-        "rms E-field",
-        {"range_m": range_m},
-        (30.0 * power_w * gain_linear, {"power_w": power_w, "gain_linear": gain_linear}),
-    )
+    product = _finite("rms E-field", 30.0 * power_w * gain_linear, power_w=power_w, gain_linear=gain_linear)
+    return _finite("rms E-field", math.sqrt(product) / range_m, range_m=range_m)
 
 
 def received_power(

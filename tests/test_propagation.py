@@ -591,6 +591,39 @@ def test_field_beyond_float_range_names_the_overflowed_input(name, overrides, na
     assert str(excinfo.value) == f"{named} is beyond float range"
 
 
+_FIELD_GRID = (
+    0.0, -0.0, 5e-324, 1e-320, 1e-300, 1e-160, 1e-10, 0.5,
+    1.0, 30.0, 1e10, 1e154, 1e300, 1e308, sys.float_info.max,
+)
+
+
+def test_field_is_the_law_bit_for_bit_or_names_the_overflowed_factor():
+    # every valid (P, G, R) of the grid: a finite law is returned with its
+    # sign of zero; an overflowed 30*P*G names P and G, and a finite one over
+    # a range too small for the law names R
+    positive = [value for value in _FIELD_GRID if value > 0.0]
+    cases = 0
+    for power_w in _FIELD_GRID:
+        for gain_linear in positive:
+            for range_m in positive:
+                cases += 1
+                product = 30.0 * power_w * gain_linear
+                field = math.sqrt(product) / range_m
+                if field < math.inf:
+                    value = prop.e_field_rms(power_w, gain_linear, range_m)
+                    assert (value, math.copysign(1.0, value)) == (field, math.copysign(1.0, field))
+                    continue
+                named = (
+                    f"power_w={power_w:g}, gain_linear={gain_linear:g}"
+                    if product == math.inf
+                    else f"range_m={range_m:g}"
+                )
+                with pytest.raises(ValueError) as excinfo:
+                    prop.e_field_rms(power_w, gain_linear, range_m)
+                assert str(excinfo.value) == f"rms E-field at {named} is beyond float range"
+    assert cases == 2535
+
+
 # The program's double 4*pi as a rational: the exact field laws over it are
 # the oracle at every range a float can hold.
 _EXACT_FOUR_PI = Fraction(prop._FOUR_PI)
