@@ -112,7 +112,7 @@ class SweepSeries(Record):
 _SAMPLED = {}
 
 
-def _sample_axis(lo: float, hi: float, num_steps: int, axis: str = "x") -> tuple[float, ...]:
+def _sample_axis(lo: float, hi: float, num_steps: int, axis: str) -> tuple[float, ...]:
     """Uniform float samples on [lo, hi], 0 <= lo < hi, with both endpoints exact.
 
     num_steps is an integral count within SWEEP_STEPS. Raises ValueError

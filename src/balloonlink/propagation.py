@@ -54,24 +54,16 @@ def _require(bounds, **values) -> None:
             raise ValueError(problem)
 
 
-def _float_range_error(quantity: str, inputs: dict, *factors: tuple[float, dict]) -> ValueError:
-    """The error for a quantity beyond float range, naming the inputs to blame.
-
-    factors are the quantity's factors as (product, {name: value}) pairs, in
-    the order it forms them: the inputs of the first one that overflowed are
-    to blame, else inputs. Only a failed call builds this error, so a call
-    that succeeds pays nothing for the diagnosis.
-    """
-    inputs = next((named for product, named in factors if product == math.inf), inputs)
-    named = ", ".join(f"{name}={value:g}" for name, value in inputs.items())
-    return ValueError(f"{quantity} at {named} is beyond float range")
-
-
 def _finite(quantity: str, value: float, /, **inputs: float) -> float:
-    """value if it is finite; else raise the float-range error for quantity naming inputs."""
+    """value if it is finite; else raise the float-range error for quantity naming inputs.
+
+    This is the one place that words that error: a law whose factors may
+    overflow passes each of them here in turn, naming its own inputs.
+    """
     if abs(value) < math.inf:  # also rejects NaN
         return value
-    raise _float_range_error(quantity, inputs)
+    named = ", ".join(f"{name}={number:g}" for name, number in inputs.items())
+    raise ValueError(f"{quantity} at {named} is beyond float range")
 
 
 def _pow10(exponent: float) -> float:
@@ -204,9 +196,11 @@ def _check_field_inputs(power_w: float, gain_linear: float, range_m: float) -> N
 # aperture Gr*lambda^2/(4*pi), and a power of 0 W receives 0 W at any
 # aperture, even one that overflows. No kernel squares the range, so for a
 # positive finite range neither raises: a value too small for a float rounds
-# to 0 or a subnormal, and one too large is inf, which the public function
-# reports, naming the first numerator factor that overflowed or, if none
-# did, range_m (a finite numerator over a range too small for the law).
+# to 0 or a subnormal, and one too large is inf. Only then does the public
+# function pass the numerator's factors, in the order the law forms them,
+# and then its value through _finite, the one builder of the float-range
+# error: the first factor that overflowed is blamed or, if none did,
+# range_m (a finite numerator over a range too small for the law).
 _FOUR_PI = 4.0 * math.pi
 
 
@@ -228,11 +222,8 @@ def power_density(power_w: float, gain_linear: float, range_m: float) -> float:
     density = _power_density(power_w, gain_linear, range_m)
     if density < math.inf:  # also rejects NaN, an infinite P*G over an infinite 4*pi*R
         return density
-    raise _float_range_error(
-        "power density",
-        {"range_m": range_m},
-        (power_w * gain_linear, {"power_w": power_w, "gain_linear": gain_linear}),
-    )
+    _finite("power density", power_w * gain_linear, power_w=power_w, gain_linear=gain_linear)
+    return _finite("power density", density, range_m=range_m)
 
 
 def e_field_rms(power_w: float, gain_linear: float, range_m: float) -> float:
@@ -256,16 +247,12 @@ def received_power(
     power = _received_power(power_w, tx_gain_linear, rx_gain_linear, lam, range_m)
     if power < math.inf:  # also rejects NaN, a zero density or aperture times an infinite one
         return power
-    gains = power_w * tx_gain_linear * rx_gain_linear
+    _finite("received power", lam * lam, freq_mhz=freq_mhz)
     inputs = {"power_w": power_w, "tx_gain_linear": tx_gain_linear, "rx_gain_linear": rx_gain_linear}
-    raise _float_range_error(
-        "received power",
-        {"range_m": range_m},
-        (lam * lam, {"freq_mhz": freq_mhz}),
-        (gains, inputs),
-        # each factor finite, their product not
-        (gains * lam * lam, {**inputs, "freq_mhz": freq_mhz}),
-    )
+    gains = _finite("received power", power_w * tx_gain_linear * rx_gain_linear, **inputs)
+    # each factor finite, their product not
+    _finite("received power", gains * lam * lam, **inputs, freq_mhz=freq_mhz)
+    return _finite("received power", power, range_m=range_m)
 
 
 class Record:

@@ -272,8 +272,10 @@ class TestSweepSeriesInvariants:
         assert exp._sample_axis(1.0, 2.0, 3, "fine_m") is samples
 
     def test_sampled_axis_is_float_whatever_the_argument_types(self):
-        assert exp._sample_axis(1.0, 2.0, 3) == (1.0, 1.5, 2.0)
-        samples = exp._sample_axis(1, 2, 3)
+        assert exp._sample_axis(1.0, 2.0, 3, "float_m") == (1.0, 1.5, 2.0)
+        # an axis of its own: on "float_m" the equal window would be answered
+        # by the memo, and the int arguments never sampled
+        samples = exp._sample_axis(1, 2, 3, "int_m")
         assert samples == (1.0, 1.5, 2.0)
         assert all(type(x) is float for x in samples)
 

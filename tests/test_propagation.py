@@ -578,6 +578,17 @@ _BEYOND_FLOAT_RANGE_ELSEWHERE = {
         dict(power_w=1e12, freq_mhz=1e-150, range_m=200.0),
         "received power at power_w=1e+12, tx_gain_linear=1, rx_gain_linear=1, freq_mhz=1e-150",
     ),
+    # both lambda^2 and P*Gt*Gr overflow: the first factor formed is blamed
+    "lambda^2-and-PGtGr-overflow": (
+        "received_power",
+        dict(power_w=1e308, tx_gain_linear=1e10, freq_mhz=1e-300, range_m=200.0),
+        "received power at freq_mhz=1e-300",
+    ),
+    "PGtGr-over-inf": (
+        "received_power",
+        dict(power_w=1e308, tx_gain_linear=1e10, range_m=1e300),
+        "received power at power_w=1e+308, tx_gain_linear=1e+10, rx_gain_linear=1",
+    ),
 }
 
 
@@ -597,21 +608,29 @@ _FIELD_GRID = (
 )
 
 
-def test_field_is_the_law_bit_for_bit_or_names_the_overflowed_factor():
+@pytest.mark.parametrize(
+    "law, quantity, numerator, field",
+    [
+        (prop.e_field_rms, "rms E-field", lambda p, g: 30.0 * p * g, lambda n, r: math.sqrt(n) / r),
+        (prop.power_density, "power density", lambda p, g: p * g, lambda n, r: n / (prop._FOUR_PI * r) / r),
+    ],
+    ids=["e_field_rms", "power_density"],
+)
+def test_field_is_the_law_bit_for_bit_or_names_the_overflowed_factor(law, quantity, numerator, field):
     # every valid (P, G, R) of the grid: a finite law is returned with its
-    # sign of zero; an overflowed 30*P*G names P and G, and a finite one over
-    # a range too small for the law names R
+    # sign of zero; an overflowed numerator (30*P*G or P*G) names P and G,
+    # and a finite one over a range too small for the law names R
     positive = [value for value in _FIELD_GRID if value > 0.0]
     cases = 0
     for power_w in _FIELD_GRID:
         for gain_linear in positive:
             for range_m in positive:
                 cases += 1
-                product = 30.0 * power_w * gain_linear
-                field = math.sqrt(product) / range_m
-                if field < math.inf:
-                    value = prop.e_field_rms(power_w, gain_linear, range_m)
-                    assert (value, math.copysign(1.0, value)) == (field, math.copysign(1.0, field))
+                product = numerator(power_w, gain_linear)
+                expected = field(product, range_m)
+                if expected < math.inf:
+                    value = law(power_w, gain_linear, range_m)
+                    assert (value, math.copysign(1.0, value)) == (expected, math.copysign(1.0, expected))
                     continue
                 named = (
                     f"power_w={power_w:g}, gain_linear={gain_linear:g}"
@@ -619,8 +638,8 @@ def test_field_is_the_law_bit_for_bit_or_names_the_overflowed_factor():
                     else f"range_m={range_m:g}"
                 )
                 with pytest.raises(ValueError) as excinfo:
-                    prop.e_field_rms(power_w, gain_linear, range_m)
-                assert str(excinfo.value) == f"rms E-field at {named} is beyond float range"
+                    law(power_w, gain_linear, range_m)
+                assert str(excinfo.value) == f"{quantity} at {named} is beyond float range"
     assert cases == 2535
 
 
